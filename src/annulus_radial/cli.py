@@ -45,9 +45,9 @@ from .solver import (
     multistart_solve,
     picard_solve,
     recover_components,
-    residual_check,
+    worst_defects,
 )
-from .weights import kelvin_r, weight_ell
+from .weights import kelvin_r
 
 _PROPERTY_LABELS = (
     "(i) nonnegativity",
@@ -109,8 +109,7 @@ def cmd_constants(cfg: AppConfig, out: Path | None) -> int:
     }
     _emit(payload)
     _write_json(out, "constants.json", payload)
-    statuses = [constants[name].status for name in constants._NAMES]
-    return 0 if all(s == CONVERGED for s in statuses) else 3
+    return 0 if all(c.status == CONVERGED for c in constants.table.values()) else 3
 
 
 def _need(cfg: AppConfig, *keys: str) -> list:
@@ -186,29 +185,6 @@ def _profile_csv(spec, components) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relative_defect(spec, components) -> float:
-    """Defect scaled by the local equation magnitude; the absolute defect is
-    dominated by the weight's curvature at the singular end, so the gate
-    that decides the exit code is relative."""
-    nodes = components[0].nodes
-    h = nodes[1] - nodes[0]
-    ell = np.asarray(weight_ell(nodes, spec.weights, spec.transform), dtype=float)
-    r2 = spec.kernel.r0 ** 2
-    worst = 0.0
-    for i in range(spec.n):
-        u = components[i].values
-        u_next = components[(i + 1) % spec.n].values
-        gv = np.asarray(spec.g[i](u_next), dtype=float)
-        if gv.ndim == 0:
-            gv = np.full(u.shape, float(gv))
-        d2 = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-        forcing = ell[1:-1] * gv[1:-1]
-        res = d2 - r2 * u[1:-1] + forcing
-        scale = 1e-30 + np.abs(d2) + r2 * np.abs(u[1:-1]) + np.abs(forcing)
-        worst = max(worst, float(np.max(np.abs(res) / scale)))
-    return worst
-
-
 def cmd_solve(
     cfg: AppConfig, init: float | None, multistart: bool, out: Path | None
 ) -> int:
@@ -238,8 +214,7 @@ def cmd_solve(
         return 4
 
     components = recover_components(spec, u, tol=tol)
-    residual = residual_check(spec, components)
-    rel_defect = _relative_defect(spec, components)
+    residual, rel_defect = worst_defects(spec, components)
     w = wp(cfg.kernel)
     cone = [
         {

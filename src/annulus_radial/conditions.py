@@ -42,6 +42,7 @@ __all__ = [
     "WindowCheck",
     "compute_constants",
     "injected_constants",
+    "star_product",
     "check_krasnoselskii",
     "check_avery_henderson",
     "check_leggett_williams",
@@ -79,34 +80,40 @@ class ConstantValue:
         }
 
 
+# Q1, Q2, N2, M2 are reciprocals of the brackets k1..k4; O1..O4 are the
+# theorem's names for the same brackets (note the crossed k1/k2 assignment)
+_RECIPROCALS = {"Q1": "k1", "Q2": "k2", "N2": "k3", "M2": "k4"}
+_ALIASES = {
+    "O1": ("k2", "Holder form (theorem assignment)"),
+    "O2": ("k1", "star-integral form (theorem assignment)"),
+    "O3": ("k3", "sup form with factor p-norms"),
+    "O4": ("k4", "sup form with factor 1-norms"),
+}
+_NAMES = (*_RECIPROCALS, "k1", "k2", "k3", "k4", *_ALIASES)
+
+
 @dataclass
 class ConstantsSet:
-    Q1: ConstantValue
-    Q2: ConstantValue
-    N2: ConstantValue
-    M2: ConstantValue
-    k1: ConstantValue
-    k2: ConstantValue
-    k3: ConstantValue
-    k4: ConstantValue
-    O1: ConstantValue
-    O2: ConstantValue
-    O3: ConstantValue
-    O4: ConstantValue
+    """The twelve constants by name, read as cs[name] or cs.name, plus wp,
+    the prefactor, the summability case and the star product."""
+
+    table: dict
     wp: float
     prefactor: float
     p_case: str
     star: ConstantValue
 
-    _NAMES = ("Q1", "Q2", "N2", "M2", "k1", "k2", "k3", "k4", "O1", "O2", "O3", "O4")
-
     def __getitem__(self, name: str) -> ConstantValue:
-        if name not in self._NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
+        return self.table[name]
+
+    def __getattr__(self, name: str) -> ConstantValue:
+        try:
+            return self.__dict__["table"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def to_dict(self) -> dict:
-        out = {name: self[name].to_dict() for name in self._NAMES}
+        out = {name: cv.to_dict() for name, cv in self.table.items()}
         out["wp"] = self.wp
         out["prefactor"] = self.prefactor
         out["p_case"] = self.p_case
@@ -144,6 +151,47 @@ def _reciprocal(name, bracket: ConstantValue, note="") -> ConstantValue:
     )
 
 
+def _raw_factors(ws: WeightSpec, ts: TransformSpec) -> list:
+    if ws.synthetic:
+        return [lambda t: np.asarray(ws.synthetic_override(np.asarray(t, dtype=float)))]
+    return [
+        (lambda t, _i=i: transformed_factor(ws, _i, t, ts))
+        for i in range(len(ws.factors))
+    ]
+
+
+def star_product(
+    ws: WeightSpec,
+    ts: TransformSpec,
+    tol: float = 1e-9,
+    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
+) -> ConstantValue:
+    """Product of the factor infima: the declared lower bounds when given,
+    else each factor's numeric infimum over the cutoff ladder."""
+    if ws.lower_bounds is not None:
+        return ConstantValue(
+            "star_product",
+            float(np.prod(ws.lower_bounds)),
+            CONVERGED,
+            "declared per-factor lower bounds",
+        )
+    value = 1.0
+    statuses = []
+    details = {}
+    for i, f in enumerate(_raw_factors(ws, ts)):
+        res = endpoint_infimum(f, tol=tol, cutoffs=cutoffs)
+        value *= res.value
+        statuses.append(res.status)
+        details[f"factor_{i + 1}_inf"] = res.to_dict()
+    return ConstantValue(
+        "star_product",
+        value,
+        _worst(*statuses) if statuses else CONVERGED,
+        "numeric infima over the cutoff ladder",
+        details,
+    )
+
+
 def compute_constants(
     params: KernelParams,
     ws: WeightSpec,
@@ -174,13 +222,9 @@ def compute_constants(
 
     if ws.synthetic:
         hhat: Callable = lambda t: kernel_diag(params, t)
-        raw_factors: list = [lambda t: np.asarray(ws.synthetic_override(np.asarray(t, dtype=float)))]
     else:
         hhat = lambda t: xi_hat(t, params)
-        raw_factors = [
-            (lambda t, _i=i: transformed_factor(ws, _i, t, ts))
-            for i in range(len(ws.factors))
-        ]
+    raw_factors = _raw_factors(ws, ts)
 
     integral_hat = integrate(hhat, tol=tol, cutoffs=cutoffs)
     norm_q = p_norm(hhat, q, tol=tol, cutoffs=cutoffs)
@@ -200,29 +244,7 @@ def compute_constants(
     norm_p_prod, norm_p_stats, norm_p_detail = _norm_product(p_list)
     norm_1_prod, norm_1_stats, norm_1_detail = _norm_product([1.0] * len(raw_factors))
 
-    if ws.lower_bounds is not None:
-        star = ConstantValue(
-            "star_product",
-            float(np.prod(ws.lower_bounds)),
-            CONVERGED,
-            "declared per-factor lower bounds",
-        )
-    else:
-        value = 1.0
-        statuses = []
-        details = {}
-        for i, f in enumerate(raw_factors):
-            res = endpoint_infimum(f, tol=tol, cutoffs=cutoffs)
-            value *= res.value
-            statuses.append(res.status)
-            details[f"factor_{i + 1}_inf"] = res.to_dict()
-        star = ConstantValue(
-            "star_product",
-            value,
-            _worst(*statuses) if statuses else CONVERGED,
-            "numeric infima over the cutoff ladder",
-            details,
-        )
+    star = star_product(ws, ts, tol=tol, cutoffs=cutoffs)
 
     # brackets (the non-reciprocal forms)
     star_value = star.value if star.value is not None else float("nan")
@@ -259,28 +281,13 @@ def compute_constants(
         **norm_1_detail,
     )
 
-    def _alias(name: str, src: ConstantValue, note: str) -> ConstantValue:
-        return ConstantValue(name, src.value, src.status, note, dict(src.ingredients))
-
-    constants = ConstantsSet(
-        Q1=_reciprocal("Q1", k1),
-        Q2=_reciprocal("Q2", k2),
-        N2=_reciprocal("N2", k3),
-        M2=_reciprocal("M2", k4),
-        k1=k1,
-        k2=k2,
-        k3=k3,
-        k4=k4,
-        O1=_alias("O1", k2, "Holder form (theorem assignment)"),
-        O2=_alias("O2", k1, "star-integral form (theorem assignment)"),
-        O3=_alias("O3", k3, "sup form with factor p-norms"),
-        O4=_alias("O4", k4, "sup form with factor 1-norms"),
-        wp=w,
-        prefactor=pref,
-        p_case=_p_case(p_list),
-        star=star,
-    )
-    return constants
+    brackets = {"k1": k1, "k2": k2, "k3": k3, "k4": k4}
+    table = {name: _reciprocal(name, brackets[src]) for name, src in _RECIPROCALS.items()}
+    table.update(brackets)
+    for name, (src, note) in _ALIASES.items():
+        b = brackets[src]
+        table[name] = ConstantValue(name, b.value, b.status, note, dict(b.ingredients))
+    return ConstantsSet(table, wp=w, prefactor=pref, p_case=_p_case(p_list), star=star)
 
 
 def injected_constants(values: dict, wp_value: float, p_case: str = "sum<1") -> ConstantsSet:
@@ -292,13 +299,10 @@ def injected_constants(values: dict, wp_value: float, p_case: str = "sum<1") -> 
         status = INJECTED if v is not None else "degenerate"
         return ConstantValue(name, v, status, "externally supplied")
 
-    star = cv("star")
     return ConstantsSet(
-        Q1=cv("Q1"), Q2=cv("Q2"), N2=cv("N2"), M2=cv("M2"),
-        k1=cv("k1"), k2=cv("k2"), k3=cv("k3"), k4=cv("k4"),
-        O1=cv("O1"), O2=cv("O2"), O3=cv("O3"), O4=cv("O4"),
+        {name: cv(name) for name in _NAMES},
         wp=wp_value, prefactor=values.get("prefactor", 1.0),
-        p_case=p_case, star=star,
+        p_case=p_case, star=cv("star"),
     )
 
 

@@ -55,6 +55,13 @@ def _require_number(section: str, key: str, value) -> float:
     return float(value)
 
 
+def _require_int(section: str, key: str, value) -> int:
+    number = _require_number(section, key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _check_keys(name: str, mapping: dict):
     if not isinstance(mapping, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
@@ -105,7 +112,7 @@ def config_from_dict(doc: dict) -> AppConfig:
             gamma=_require_number("kernel", "gamma", kernel_doc.get("gamma", 1.0)),
             delta=_require_number("kernel", "delta", kernel_doc.get("delta", 1.0)),
             r0=_require_number("kernel", "r0", kernel_doc.get("r0", 1.0)),
-            N=int(_require_number("kernel", "N", kernel_doc.get("N", 3))),
+            N=_require_int("kernel", "N", kernel_doc.get("N", 3)),
         )
     except DegenerateParametersError as exc:
         raise ConfigError(f"kernel parameters rejected: {exc}") from exc
@@ -159,8 +166,8 @@ def config_from_dict(doc: dict) -> AppConfig:
 
     system_doc = doc.get("system", {"n": 1, "g": ["0"]})
     _check_keys("system", system_doc)
-    n = system_doc.get("n", 1)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    n = _require_int("system", "n", system_doc.get("n", 1))
+    if n < 1:
         raise ConfigError("system.n must be a positive integer")
     g_src = system_doc.get("g", ["0"])
     if not isinstance(g_src, list) or len(g_src) != n:
@@ -174,9 +181,8 @@ def config_from_dict(doc: dict) -> AppConfig:
     _check_keys("numerics", numerics_doc)
     numerics = dict(_NUMERICS_DEFAULTS)
     for key, value in numerics_doc.items():
-        numerics[key] = _require_number("numerics", key, value)
-    numerics["grid_size"] = int(numerics["grid_size"])
-    numerics["max_iter"] = int(numerics["max_iter"])
+        read = _require_int if key in ("grid_size", "max_iter") else _require_number
+        numerics[key] = read("numerics", key, value)
     if numerics["grid_size"] < 16:
         raise ConfigError("numerics.grid_size must be >= 16")
     if not (0.0 < numerics["cutoff"] < 1.0):

@@ -106,8 +106,8 @@ def _panel(f: Callable, a: float, b: float, tol: float) -> tuple:
     return val, err
 
 
-def _fit_increment_slope(eps: Sequence[float], incs: Sequence[float]):
-    pts = [(e, abs(v)) for e, v in zip(eps, incs) if abs(v) > 0.0]
+def _log_log_slope(eps: Sequence[float], values: Sequence[float]):
+    pts = [(e, abs(v)) for e, v in zip(eps, values) if abs(v) > 0.0]
     if len(pts) < 2:
         return None
     x = np.log10([p[0] for p in pts])
@@ -160,7 +160,7 @@ def integrate(
         status = CONVERGED if err <= max(tol, tiny) else CUTOFF_LIMITED
         return IntegralResult(value + tail, err, status, trace)
 
-    slope = _fit_increment_slope(eps[1:], incs)
+    slope = _log_log_slope(eps[1:], incs)
     if slope is not None and slope <= 0.05 and abs(last) >= abs(incs[0]) * 0.5:
         return IntegralResult(
             value,
@@ -210,14 +210,7 @@ def _classify_levels(eps: list, levels: list, tol: float, mode: str) -> Integral
     delta = abs(levels[-1] - levels[-2])
     if delta <= tol * max(1.0, abs(value)):
         return IntegralResult(value, delta, CONVERGED, trace)
-    moved = [
-        (e, abs(v)) for e, v in zip(eps, levels) if abs(v) > 0.0
-    ]
-    slope = None
-    if len(moved) >= 2:
-        x = np.log10([p[0] for p in moved])
-        y = np.log10([p[1] for p in moved])
-        slope = float(np.polyfit(x, y, 1)[0])
+    slope = _log_log_slope(eps, levels)
     growing = mode == "max" and levels[-1] > levels[0] * (1.0 + 1e-9)
     if growing and slope is not None and slope <= -0.01:
         return IntegralResult(value, delta, DIVERGENT, trace, exponent_estimate=slope)

@@ -24,6 +24,7 @@ from .conditions import (
     contraction_constant,
     injected_constants,
     lipschitz_estimate,
+    star_product,
 )
 from .config import AppConfig, config_from_dict
 from .kernel import varrho, wp
@@ -215,11 +216,11 @@ def _reproduce_windows(example_id: int, cfg: AppConfig, spec: dict, report: dict
         _constant_row(example_id, "star_product", published["star_product"][0],
                       published["star_product"][1], constants.star)
     )
-    for name in ("Q1", "Q2", "N2", "M2", "k1", "k2", "k3", "k4", "O1", "O2"):
+    for name, cv in constants.table.items():
         if name in published:
             report["rows"].append(
                 _constant_row(example_id, name, published[name][0],
-                              published[name][1], constants[name])
+                              published[name][1], cv)
             )
     if example_id == 3:
         # both symbol assignments, labelled: the published numbers swap the
@@ -270,24 +271,13 @@ def _reproduce_uniqueness(cfg: AppConfig, spec: dict, report: dict):
     p = float(cfg.numerics["p"])
     q = float(cfg.numerics["q"])
 
-    from .quadrature import endpoint_infimum
-    from .weights import transformed_factor
-
-    star_value = 1.0
-    star_status = "converged"
-    for i in range(len(cfg.weights.factors)):
-        res = endpoint_infimum(
-            lambda t, _i=i: transformed_factor(cfg.weights, _i, t, cfg.transform)
-        )
-        star_value *= res.value
-        if res.status != "converged":
-            star_status = res.status
+    star = star_product(cfg.weights, cfg.transform)
     report["rows"].append(
         _row(
             f"example-{example_id}/star_product",
             published["star_product"][0],
-            star_value,
-            star_status,
+            star.value,
+            star.status,
             published["star_product"][1]
             + "; numeric infimum keeps shrinking with the cutoff",
         )

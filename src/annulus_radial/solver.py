@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, lp_distance, sup_distance, trapezoid_weights
+from .grid import GridFunction, sup_distance, trapezoid_weights
 from .kernel import KernelParams, phi, psi, varrho
 from .quadrature import EvaluationError
 from .weights import TransformSpec, WeightSpec, kelvin_s, weight_ell
@@ -37,6 +37,7 @@ __all__ = [
     "picard_solve",
     "recover_components",
     "residual_check",
+    "worst_defects",
     "radial_profile",
     "multistart_solve",
 ]
@@ -272,11 +273,13 @@ def recover_components(
     return [GridFunction(asm.nodes, c) for c in comps]
 
 
-def residual_check(spec: ProblemSpec, components: Sequence[GridFunction]) -> float:
-    """Worst defect |D2 u_i - r0^2 u_i + ell * g_i(u_{i+1})| over interior nodes.
+def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tuple:
+    """(absolute, relative) worst defect of D2 u_i - r0^2 u_i + ell * g_i(u_{i+1})
+    over interior nodes, evaluating each g_i once.
 
-    O(h^2) for exact solutions; the constant carries the fourth derivative,
-    which grows like the weight's second derivative near the cutoff.
+    The absolute defect is O(h^2), but its constant grows like the weight's
+    second derivative near the cutoff; the relative one divides by the local
+    magnitude |D2 u| + r0^2 |u| + |ell g| and is the one to gate on.
     """
     if len(components) != spec.n:
         raise ValueError("component count must equal n")
@@ -284,7 +287,7 @@ def residual_check(spec: ProblemSpec, components: Sequence[GridFunction]) -> flo
     h = nodes[1] - nodes[0]
     ell = np.asarray(weight_ell(nodes, spec.weights, spec.transform), dtype=float)
     r2 = spec.kernel.r0 ** 2
-    worst = 0.0
+    worst = relative = 0.0
     for i in range(spec.n):
         u = components[i].values
         u_next = components[(i + 1) % spec.n].values
@@ -292,9 +295,18 @@ def residual_check(spec: ProblemSpec, components: Sequence[GridFunction]) -> flo
         if gv.ndim == 0:
             gv = np.full(u.shape, float(gv))
         d2 = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-        res = d2 - r2 * u[1:-1] + ell[1:-1] * gv[1:-1]
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+        forcing = ell[1:-1] * gv[1:-1]
+        res = np.abs(d2 - r2 * u[1:-1] + forcing)
+        scale = 1e-30 + np.abs(d2) + r2 * np.abs(u[1:-1]) + np.abs(forcing)
+        worst = max(worst, float(np.max(res)))
+        relative = max(relative, float(np.max(res / scale)))
+    return worst, relative
+
+
+def residual_check(spec: ProblemSpec, components: Sequence[GridFunction]) -> float:
+    """Worst absolute defect |D2 u_i - r0^2 u_i + ell * g_i(u_{i+1})| over
+    interior nodes; see worst_defects."""
+    return worst_defects(spec, components)[0]
 
 
 def radial_profile(

@@ -23,6 +23,7 @@ import numpy as np
 
 from .exprlang import Expr
 from .kernel import DomainError, KernelParams, kernel_diag
+from .quadrature import DEFAULT_CUTOFFS
 
 __all__ = [
     "TransformSpec",
@@ -41,9 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_EVAL_FLOOR = 1e-8
-
-# default cutoff ladder shared with the quadrature module
-_FIT_CUTOFFS = tuple(10.0 ** (-k) for k in range(2, 9))
 
 
 class EstimationUnstableWarning(UserWarning):
@@ -222,7 +220,7 @@ def weight_shape(ws: WeightSpec, ts: TransformSpec) -> Callable:
 def singularity_exponent(
     ws: WeightSpec,
     ts: TransformSpec,
-    cutoffs: Sequence[float] = _FIT_CUTOFFS,
+    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
     residual_threshold: float = 0.1,
 ) -> float:
     """Estimate e with weight(t) ~ c * t^e as t -> 0+ by a log-log slope fit.

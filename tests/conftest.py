@@ -10,6 +10,7 @@ import pytest
 
 from annulus_radial import KernelParams, TransformSpec, WeightSpec
 from annulus_radial.exprlang import parse
+from annulus_radial.kernel import BoundReport, cone_floor, kernel_matrix
 
 
 def composite_simpson(f, a, b, panels=1_000_000):
@@ -25,6 +26,27 @@ def composite_simpson(f, a, b, panels=1_000_000):
 def riemann_midpoint(f, a, b, n=1_000_000):
     x = a + (np.arange(n) + 0.5) * (b - a) / n
     return float(np.sum(np.asarray(f(x), dtype=float)) * (b - a) / n)
+
+
+def dense_bound_report(p, grid_size, tol=1e-12):
+    """Bound certificate over every entry of the dense m x m kernel matrix:
+    the reference route for the O(m) verify_kernel_bounds."""
+    nodes = np.linspace(0.0, 1.0, grid_size)
+    M = kernel_matrix(p, nodes)
+    diag = np.diag(M)
+    floor = cone_floor(p)
+    neg = max(0.0, float(-M.min()))
+    excess = float((M - diag[None, :]).max())
+    lower = float((floor * diag[None, :] - M).max())
+    return BoundReport(
+        grid_size=grid_size,
+        tol=tol,
+        wp_used=floor,
+        max_negativity=neg,
+        max_excess_over_diagonal=max(0.0, excess),
+        max_lower_bound_violation=max(0.0, lower),
+        passed=(neg <= tol, excess <= tol, lower <= tol),
+    )
 
 
 @pytest.fixture(scope="session")

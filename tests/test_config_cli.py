@@ -87,6 +87,20 @@ def test_schema_type_and_consistency_errors():
     doc["weights"] = {"synthetic": "1", "factors": ["1"], "p": [2]}
     with pytest.raises(ConfigError):
         config_from_dict(doc)
+    # integer fields take integral numbers only: no silent truncation
+    for section, key, value in (("kernel", "N", 3.7), ("numerics", "grid_size", 100.9),
+                                ("numerics", "max_iter", 2.5), ("system", "n", 1.5)):
+        doc = minimal_config()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+            config_from_dict(doc)
+    doc = minimal_config()
+    doc["kernel"]["N"] = 3.0
+    doc["system"]["n"] = 1.0
+    doc["numerics"].update({"grid_size": 257.0, "max_iter": 50.0})
+    cfg = config_from_dict(doc)
+    assert (cfg.kernel.N, cfg.n, cfg.numerics["grid_size"], cfg.numerics["max_iter"]) == (
+        3, 1, 257, 50)
 
 
 def test_builtin_example_configs_round_trip():
@@ -145,6 +159,15 @@ def test_cli_kernel_degenerate_config_is_exit_2(tmp_path, capsys):
     doc["kernel"].update({"alpha": 0, "beta": 0})
     path = write_config(tmp_path, doc)
     assert cli.main(["kernel", "--config", path]) == 2
+    # exp(r0) leaves the double range: rejected before any PASS line prints
+    doc = minimal_config()
+    doc["kernel"]["r0"] = 800.0
+    path = write_config(tmp_path, doc, "big_r0.json")
+    capsys.readouterr()
+    assert cli.main(["kernel", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "varrho overflows" in captured.err
 
 
 def test_cli_constants_synthetic_converges(tmp_path, capsys):

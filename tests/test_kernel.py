@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_bound_report
 
 from annulus_radial.kernel import (
     DegenerateParametersError,
@@ -55,6 +57,10 @@ def test_params_validation():
         KernelParams(1.0, 1.0, 1.0, 1.0, 1.0, 2)
     with pytest.raises(DegenerateParametersError):
         KernelParams(-0.5, 1.0, 1.0, 1.0, 1.0, 3)
+    # varrho = inf (r0 = 705) and exp(r0) out of range (r0 = 800)
+    for r0 in (705.0, 800.0):
+        with pytest.raises(DegenerateParametersError, match="varrho overflows"):
+            KernelParams(1.0, 1.0, 1.0, 1.0, r0, 3)
 
 
 def test_kernel_corner_value(default_params):
@@ -111,6 +117,51 @@ def test_bounds_hold_for_random_draws():
     for p in random_params(20):
         rep = verify_kernel_bounds(p, 101)
         assert rep.all_passed, p
+
+
+def admissible_draw(rng):
+    """Boundary weights with some Dirichlet-type zeros, r0 log-uniform in
+    [1e-4, 300]."""
+    a, b, g, d = rng.uniform(0.0, 10.0, size=4)
+    zero = rng.integers(0, 4)
+    a = 0.0 if zero in (1, 3) else a
+    g = 0.0 if zero in (2, 3) else g
+    b = 0.0 if a > 0.0 and rng.random() < 0.2 else b
+    d = 0.0 if g > 0.0 and rng.random() < 0.2 else d
+    return KernelParams(a, b, g, d, float(10.0 ** rng.uniform(-4.0, math.log10(300.0))), 3)
+
+
+def test_certificate_matches_dense_reference():
+    rng = np.random.default_rng(20261017)
+    for k in range(120):
+        p = admissible_draw(rng)
+        m = (101, 401)[k % 2]
+        assert verify_kernel_bounds(p, m).to_dict() == dense_bound_report(p, m).to_dict(), p
+
+
+def test_certificate_fine_grid_is_linear_memory(asym_params):
+    tracemalloc.start()
+    try:
+        rep = verify_kernel_bounds(asym_params, 4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # the dense 4001 x 4001 check peaks near 730 MB
+    assert rep.to_dict() == dense_bound_report(asym_params, 4001).to_dict()
+
+
+def test_certificate_near_flat_kernel_verdicts():
+    # alpha = gamma = 0 with r0 = 1e-6 makes Xi ~ 1e12 and nearly constant:
+    # one ulp of Xi is 2^-13 ~ 1.2e-4, so the absolute tol 1e-12 lies below
+    # rounding and both routes' verdicts are rounding noise.  The dense route
+    # also fails (iii) here; the O(m) route reports (ii) failing by one ulp.
+    p = KernelParams(0.0, 1.0, 0.0, 1.0, 1e-6, 3)
+    ulp = float(np.spacing(kernel_diag(p, 0.0)))
+    assert ulp == 2.0**-13
+    rep = verify_kernel_bounds(p, 101)
+    assert rep.passed == (True, False, True)
+    assert rep.max_excess_over_diagonal == ulp
+    assert dense_bound_report(p, 101).passed == (True, False, False)
 
 
 def test_max_ratio_constant_fails_where_min_succeeds():
