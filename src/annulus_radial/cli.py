@@ -7,10 +7,13 @@
     annulus-radial reproduce  --example K [--out DIR]
 
 Reports are JSON with sorted keys (byte-stable across runs for identical
-configs); profiles are CSV with a header row and '.' decimals.  Exit codes:
-0 success / all checks pass; 1 a verdict failed; 2 configuration problem;
-3 divergent or inconclusive ingredients; 4 the iteration did not converge
-(or its defect gate failed).
+configs); profiles are CSV with a header row and '.' decimals, built only
+when --out is given.  Exit codes: 0 success / all checks pass; 1 a verdict
+failed; 2 configuration problem; 3 divergent or inconclusive ingredients
+(including an expression that fails to evaluate while constants or check
+run); 4 the iteration did not converge, its defect gate failed, or solve
+failed at run time (an expression that fails to evaluate, a cycle that does
+not close).
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from .kernel import (
     verify_kernel_bounds,
     wp,
 )
-from .quadrature import CONVERGED
+from .quadrature import CONVERGED, EvaluationError
 from .reproduce import EXAMPLE_IDS, reproduce
 from .solver import (
+    CycleConsistencyError,
     multistart_solve,
     picard_solve,
     recover_components,
@@ -235,7 +239,8 @@ def cmd_solve(
     }
     _emit(payload)
     _write_json(out, "trace.json", payload)
-    _write_text(out, "profile.csv", _profile_csv(spec, components))
+    if out is not None:  # the profile of a fine grid is the costliest output
+        _write_text(out, "profile.csv", _profile_csv(spec, components))
     return 0 if rel_defect <= 1e-3 else 4
 
 
@@ -302,6 +307,11 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.which, out)
         return cmd_solve(cfg, args.init, args.multistart, out)
+    except (EvaluationError, CycleConsistencyError) as exc:
+        # raised while running a config that loaded: load_config only parses
+        # expressions, it never evaluates them
+        sys.stderr.write(f"error: {exc}\n")
+        return 4 if args.command == "solve" else 3
     except (ConfigError, ConjugateExponentError, DegenerateParametersError,
             ExprError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -101,13 +101,28 @@ def make_grid(spec: ProblemSpec) -> np.ndarray:
     return np.linspace(spec.cutoff, 1.0, spec.grid_size)
 
 
+def _sinh_cosh(y: np.ndarray) -> tuple:
+    """(sinh y, cosh y) for y >= 0 from a single expm1 pass in y's dtype.
+
+    With em = expm1(y): sinh y = (em + em/(1+em))/2, cosh y = ((1+em) +
+    1/(1+em))/2.  Neither sum cancels, unlike E - 1/E with E = exp(y), which
+    loses sinh's relative accuracy as y -> 0.
+    """
+    em = np.expm1(y)
+    e = 1.0 + em
+    return 0.5 * (em + em / e), 0.5 * (e + 1.0 / e)
+
+
 class _Assembled:
     """Grid, weights, and scaled kernel factors precomputed once per spec.
 
     extended=True runs the kernel folds in numpy's longdouble: the component
     values then carry sub-float64 representation noise, which is what a
     second-difference defect check needs on fine grids (the float64 ulp of
-    the values alone contributes ~4*ulp(u)/h^2 of defect noise).
+    the values alone contributes ~4*ulp(u)/h^2 of defect noise).  Its phi/psi
+    take one expm1 pass per factor (_sinh_cosh).  The float64 path keeps
+    kernel.phi/kernel.psi bit for bit: at m = 1e6 a 1- or 2-ulp change there
+    moves the solve report's relative defect by 2-5%, against its 1e-3 gate.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -129,16 +144,27 @@ class _Assembled:
         )
         self.w = trapezoid_weights(self.nodes) * self.ell.astype(dtype)
         root = np.sqrt(dtype(varrho(spec.kernel)))
-        self.phi = np.asarray(phi(spec.kernel, self.nodes)) / root
-        self.psi = np.asarray(psi(spec.kernel, self.nodes)) / root
+        if extended:
+            k = spec.kernel
+            sh, ch = _sinh_cosh(k.r0 * self.nodes)
+            self.phi = (k.alpha * sh + k.beta * k.r0 * ch) / root
+            sh, ch = _sinh_cosh(k.r0 * (1.0 - self.nodes))
+            self.psi = (k.gamma * sh + k.delta * k.r0 * ch) / root
+        else:
+            self.phi = np.asarray(phi(spec.kernel, self.nodes)) / root
+            self.psi = np.asarray(psi(spec.kernel, self.nodes)) / root
 
     def kernel_fold(self, c: np.ndarray) -> np.ndarray:
         """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t)."""
         a = self.phi * c
-        pre = np.cumsum(a) - a  # strictly below the diagonal
-        b = self.psi * c
-        suf = np.cumsum(b[::-1])[::-1]  # diagonal and above
-        return self.psi * pre + self.phi * suf
+        pre = np.cumsum(a)
+        pre -= a  # strictly below the diagonal
+        np.multiply(self.psi, c, out=a)
+        suf = np.cumsum(a[::-1])[::-1]  # diagonal and above
+        pre *= self.psi
+        suf *= self.phi
+        pre += suf
+        return pre
 
     def layer(self, i: int, v: np.ndarray) -> np.ndarray:
         try:
@@ -150,7 +176,9 @@ class _Assembled:
         # g itself is evaluated in double precision: its error enters through
         # the integrand, which the kernel smooths; only the fold's output
         # representation matters for defect checks
-        return self.kernel_fold(self.w * gv.astype(self.w.dtype))
+        c = gv.astype(self.w.dtype)
+        c *= self.w
+        return self.kernel_fold(c)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = values
@@ -294,10 +322,13 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
         gv = np.asarray(spec.g[i](u_next), dtype=float)
         if gv.ndim == 0:
             gv = np.full(u.shape, float(gv))
-        d2 = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
+        # only the second difference needs the components' precision; the
+        # rest runs in float64 (a no-op for float64 components)
+        d2 = np.asarray((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2, dtype=float)
+        mid = np.asarray(u[1:-1], dtype=float)
         forcing = ell[1:-1] * gv[1:-1]
-        res = np.abs(d2 - r2 * u[1:-1] + forcing)
-        scale = 1e-30 + np.abs(d2) + r2 * np.abs(u[1:-1]) + np.abs(forcing)
+        res = np.abs(d2 - r2 * mid + forcing)
+        scale = 1e-30 + np.abs(d2) + r2 * np.abs(mid) + np.abs(forcing)
         worst = max(worst, float(np.max(res)))
         relative = max(relative, float(np.max(res / scale)))
     return worst, relative

@@ -6,6 +6,7 @@ import pytest
 from annulus_radial import cli
 from annulus_radial.config import ConfigError, config_from_dict, load_config
 from annulus_radial.reproduce import EXAMPLE_IDS, example_config
+from annulus_radial.solver import CycleConsistencyError
 
 
 def minimal_config(**overrides):
@@ -255,6 +256,53 @@ def test_cli_solve_divergent_is_exit_4(tmp_path, capsys):
     assert cli.main(["solve", "--config", path, "--init", "1.0"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["trace"]["status"] == "diverging"
+
+
+def test_cli_solve_evaluation_error_is_exit_4(tmp_path, capsys):
+    # log(u) parses, so the config is valid; it fails on the zero start
+    doc = minimal_config()
+    doc["system"] = {"n": 1, "g": ["log(u)"]}
+    assert cli.main(["solve", "--config", write_config(tmp_path, doc)]) == 4
+    assert "nonlinearity 1 failed" in capsys.readouterr().err
+
+
+def test_cli_solve_cycle_consistency_error_is_exit_4(tmp_path, capsys, monkeypatch):
+    def open_cycle(*args, **kwargs):
+        raise CycleConsistencyError("cyclic closure residual 1e-3 exceeds 1e-9")
+
+    monkeypatch.setattr(cli, "recover_components", open_cycle)
+    path = write_config(tmp_path, minimal_config())
+    assert cli.main(["solve", "--config", path]) == 4
+    assert "cyclic closure residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["check", "--which", "krasnoselskii"]])
+def test_cli_constants_and_check_evaluation_error_is_exit_3(tmp_path, capsys, argv):
+    # the weight parses but fails to evaluate below t = 0.5
+    doc = minimal_config(weights={"synthetic": "log(t-0.5)"},
+                         windows={"a1": 0.05, "a2": 1.0})
+    path = write_config(tmp_path, doc)
+    assert cli.main([argv[0], "--config", path, *argv[1:]]) == 3
+    assert "integrand failed" in capsys.readouterr().err
+
+
+def test_cli_solve_builds_profile_only_with_out(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, example_config(4), "ex4.json")
+    real_profile = cli._profile_csv
+
+    def unread(*args, **kwargs):
+        raise AssertionError("profile built without --out")
+
+    monkeypatch.setattr(cli, "_profile_csv", unread)
+    assert cli.main(["solve", "--config", path]) == 0
+    lazy = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_profile_csv", real_profile)
+    out_dir = tmp_path / "sol4"
+    assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == lazy
+    profile = (out_dir / "profile.csv").read_text().splitlines()
+    assert profile[0] == "s,r,u1,u2"
+    assert len(profile) == 1 + example_config(4)["numerics"]["grid_size"]
 
 
 def test_cli_multistart(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from annulus_radial.conditions import contraction_constant
 from annulus_radial.exprlang import parse
 from annulus_radial.grid import GridFunction
-from annulus_radial.kernel import wp
+from annulus_radial.kernel import KernelParams, varrho, wp
 from annulus_radial.oracle import LinearBVP, solve_linear_fd
 from annulus_radial.solver import (
     CycleConsistencyError,
@@ -16,6 +16,7 @@ from annulus_radial.solver import (
     radial_profile,
     recover_components,
     residual_check,
+    _Assembled,
 )
 from annulus_radial.weights import TransformSpec, WeightSpec
 
@@ -240,3 +241,72 @@ def test_problem_spec_validation(default_params, synthetic_unit_weight):
     with pytest.raises(ValueError):
         ProblemSpec(n=1, g=(parse("0", "u"),), kernel=default_params,
                     weights=synthetic_unit_weight, transform=TS, cutoff=0.0)
+
+
+# ---------------------------------------------------------------------------
+# longdouble recovery (extended_precision=True)
+# ---------------------------------------------------------------------------
+
+
+def _mp_exact(mpmath, x):
+    """A longdouble as an mpf, without rounding it to float64 first."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+
+
+@pytest.mark.parametrize("r0", [0.1, 5.0, 50.0])
+@pytest.mark.parametrize(
+    "bc", [(1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0)],
+    ids=["beta0", "delta0", "unit"],
+)
+def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
+    mpmath = pytest.importorskip("mpmath")
+    p = KernelParams(*bc, r0=r0)
+    m = 1025
+    spec = ProblemSpec(n=1, g=(parse("u", "u"),), kernel=p,
+                       weights=synthetic_unit_weight, transform=TS,
+                       grid_size=m, cutoff=1e-3)
+    asm = _Assembled(spec, extended=True)
+    assert asm.phi.dtype == asm.psi.dtype == np.longdouble
+    eps = float(np.finfo(np.longdouble).eps)
+    r0_ld = np.longdouble(r0)
+    with mpmath.workdps(40):
+        R = mpmath.mpf(r0)
+        root = mpmath.sqrt(mpmath.mpf(varrho(p)))
+        for k in (0, 1, 2, m // 2, m - 3, m - 2, m - 1):  # cutoff, middle, s -> 1
+            x = asm.nodes[k]
+            for got, (a, b), y_ld, y_exact in (
+                (asm.phi[k], bc[:2], r0_ld * x, R * _mp_exact(mpmath, x)),
+                (asm.psi[k], bc[2:], r0_ld * (1 - x), R * (1 - _mp_exact(mpmath, x))),
+            ):
+                got = _mp_exact(mpmath, got)
+                # the factor formula at the argument the code forms in
+                # longdouble: the error of the expm1 combination itself
+                y = _mp_exact(mpmath, y_ld)
+                exact = (a * mpmath.sinh(y) + b * R * mpmath.cosh(y)) / root
+                assert abs(got - exact) <= 16 * eps * abs(exact), (k, got, exact)
+                # at the exact node, rounding the argument r0*x (resp.
+                # r0*(1-x)) to longdouble adds up to ~y ulps, since sinh and
+                # cosh have condition number ~y there (measured 17 eps at
+                # r0 = 50, for np.sinh/np.cosh as well)
+                exact = (a * mpmath.sinh(y_exact) + b * R * mpmath.cosh(y_exact)) / root
+                bound = 16 * eps * max(1.0, float(y_exact)) * abs(exact)
+                assert abs(got - exact) <= bound, (k, got, exact)
+
+
+def test_longdouble_recovery_matches_float64_on_example4(
+    default_params, example4_weights, example4_nonlinearities
+):
+    spec = ProblemSpec(
+        n=2, g=example4_nonlinearities, kernel=default_params,
+        weights=example4_weights, transform=TS, grid_size=2**18 + 1, cutoff=1e-3,
+    )
+    u, trace = picard_solve(spec, tol=1e-12)
+    assert trace.converged
+    c64 = recover_components(spec, u, tol=1e-10)
+    cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    assert all(c.values.dtype == np.longdouble for c in cld)
+    sup = max(float(np.max(np.abs(c.values))) for c in cld)
+    for a, b in zip(c64, cld):
+        assert float(np.max(np.abs(a.values - b.values.astype(float)))) <= 1e-9 * sup
+    assert residual_check(spec, cld) <= 1e-4 * sup
