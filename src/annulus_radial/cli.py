@@ -37,6 +37,7 @@ from .config import AppConfig, ConfigError, load_config
 from .exprlang import ExprError
 from .kernel import (
     DegenerateParametersError,
+    cone_floor,
     kernel_matrix,
     varrho,
     verify_kernel_bounds,
@@ -219,13 +220,15 @@ def cmd_solve(
 
     components = recover_components(spec, u, tol=tol)
     residual, rel_defect = worst_defects(spec, components)
-    w = wp(cfg.kernel)
+    # the gap is measured against the certified floor: wp bounds the kernel
+    # from below only for symmetric parameters
+    floor = cone_floor(cfg.kernel)
     cone = [
         {
             "component": i + 1,
             "min": float(c.values.min()),
             "max": float(c.values.max()),
-            "cone_gap": float(c.values.min() - w * c.values.max()),
+            "cone_gap": float(c.values.min() - floor * c.values.max()),
         }
         for i, c in enumerate(components)
     ]
@@ -234,7 +237,8 @@ def cmd_solve(
         "residual_max": residual,
         "relative_defect": rel_defect,
         "cone": cone,
-        "wp": w,
+        "wp": wp(cfg.kernel),
+        "cone_floor": floor,
         "sup_norms": [float(np.max(np.abs(c.values))) for c in components],
     }
     _emit(payload)

@@ -14,6 +14,15 @@ targets need).
 Discretization: uniform grid on [cutoff, 1], trapezoid weights, piecewise
 linear interpolation between nodes.  Both iteration metrics (sup and L^p)
 are recorded at every Picard step.
+
+Memory: every pass over the grid runs in blocks of _BLOCK = 2^16 nodes, so
+the only m-long arrays are those a step keeps.  tracemalloc peaks per node
+(example 4, m = 2^20 + 1): Picard 80 B for n >= 2 (nodes, phi, psi, w, the
+iterate, plain trapezoid weights, the |new - u| buffer, one g*w workspace
+and two layer outputs; 72 B for n = 1), float64 recovery (5 + n)*8 B,
+longdouble recovery (5 + n)*16 + 8 B, and the defect check none: it peaks
+at ~7.3 MB whatever m (~112 B per block node).  Grids of at most 2^16 nodes
+run as one block.
 """
 
 from __future__ import annotations
@@ -101,6 +110,16 @@ def make_grid(spec: ProblemSpec) -> np.ndarray:
     return np.linspace(spec.cutoff, 1.0, spec.grid_size)
 
 
+# Every pass over the m nodes runs in blocks of this many, so temporaries
+# stay O(_BLOCK) whatever the grid; grids of up to _BLOCK nodes are one block.
+_BLOCK = 1 << 16
+
+
+def _blocks(m: int) -> list:
+    """(start, stop) of the consecutive blocks of m nodes, left to right."""
+    return [(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
+
+
 def _sinh_cosh(y: np.ndarray) -> tuple:
     """(sinh y, cosh y) for y >= 0 from a single expm1 pass in y's dtype.
 
@@ -123,6 +142,9 @@ class _Assembled:
     take one expm1 pass per factor (_sinh_cosh).  The float64 path keeps
     kernel.phi/kernel.psi bit for bit: at m = 1e6 a 1- or 2-ulp change there
     moves the solve report's relative defect by 2-5%, against its 1e-3 gate.
+
+    phi, psi and the ell-weighted trapezoid weights w are filled one block
+    at a time; ell itself is never held for the whole grid.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -133,66 +155,98 @@ class _Assembled:
             )
         self.spec = spec
         dtype = np.longdouble if extended else np.float64
+        m = spec.grid_size
         # the abscissae themselves must carry the working precision: float64
         # node jitter alone injects ~2*ulp(node)*u'/h^2 into defect checks
-        self.nodes = np.linspace(
-            dtype(spec.cutoff), dtype(1.0), spec.grid_size, dtype=dtype
-        )
-        self.ell = np.asarray(
-            weight_ell(self.nodes.astype(float), spec.weights, spec.transform),
-            dtype=float,
-        )
-        self.w = trapezoid_weights(self.nodes) * self.ell.astype(dtype)
+        self.nodes = np.linspace(dtype(spec.cutoff), dtype(1.0), m, dtype=dtype)
+        self.blocks = _blocks(m)
+        self.phi, self.psi, self.w = (np.empty_like(self.nodes) for _ in range(3))
         root = np.sqrt(dtype(varrho(spec.kernel)))
-        if extended:
-            k = spec.kernel
-            sh, ch = _sinh_cosh(k.r0 * self.nodes)
-            self.phi = (k.alpha * sh + k.beta * k.r0 * ch) / root
-            sh, ch = _sinh_cosh(k.r0 * (1.0 - self.nodes))
-            self.psi = (k.gamma * sh + k.delta * k.r0 * ch) / root
-        else:
-            self.phi = np.asarray(phi(spec.kernel, self.nodes)) / root
-            self.psi = np.asarray(psi(spec.kernel, self.nodes)) / root
+        k = spec.kernel
+        for a, b in self.blocks:
+            x = self.nodes[a:b]
+            # one neighbour node on each side gives the block's own weights
+            lo, hi = max(a - 1, 0), min(b + 1, m)
+            ell = weight_ell(np.asarray(x, dtype=float), spec.weights, spec.transform)
+            np.multiply(
+                trapezoid_weights(self.nodes[lo:hi])[a - lo:b - lo],
+                np.asarray(ell, dtype=float),
+                out=self.w[a:b],
+            )
+            if extended:
+                sh, ch = _sinh_cosh(k.r0 * x)
+                self.phi[a:b] = (k.alpha * sh + k.beta * k.r0 * ch) / root
+                sh, ch = _sinh_cosh(k.r0 * (1.0 - x))
+                self.psi[a:b] = (k.gamma * sh + k.delta * k.r0 * ch) / root
+            else:
+                np.divide(phi(k, x), root, out=self.phi[a:b])
+                np.divide(psi(k, x), root, out=self.psi[a:b])
 
     def kernel_fold(self, c: np.ndarray) -> np.ndarray:
-        """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t)."""
-        a = self.phi * c
-        pre = np.cumsum(a)
-        pre -= a  # strictly below the diagonal
-        np.multiply(self.psi, c, out=a)
-        suf = np.cumsum(a[::-1])[::-1]  # diagonal and above
-        pre *= self.psi
-        suf *= self.phi
-        pre += suf
-        return pre
+        """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t).
 
-    def layer(self, i: int, v: np.ndarray) -> np.ndarray:
-        try:
-            gv = np.asarray(self.spec.g[i](np.asarray(v, dtype=float)), dtype=float)
-        except Exception as exc:
-            raise EvaluationError(f"nonlinearity {i + 1} failed: {exc}") from exc
-        if gv.ndim == 0:
-            gv = np.full(v.shape, float(gv))
-        # g itself is evaluated in double precision: its error enters through
-        # the integrand, which the kernel smooths; only the fold's output
-        # representation matters for defect checks
-        c = gv.astype(self.w.dtype)
-        c *= self.w
-        return self.kernel_fold(c)
+        Prefix sums run left to right and suffix sums right to left, one
+        block at a time.  Each block adds the running sum into its first
+        term before its cumsum, so every partial sum associates exactly as a
+        whole-array cumsum would.
+        """
+        out = np.empty_like(c)
+        carry = None
+        for a, b in self.blocks:
+            t = self.phi[a:b] * c[a:b]
+            first = t[0]
+            if carry is not None:
+                t[0] += carry
+            np.cumsum(t, out=out[a:b])
+            carry = out[b - 1]
+            t[0] = first
+            out[a:b] -= t  # strictly below the diagonal
+            out[a:b] *= self.psi[a:b]
+        carry = None
+        for a, b in reversed(self.blocks):
+            t = self.psi[a:b] * c[a:b]
+            if carry is not None:
+                t[-1] += carry
+            suf = np.cumsum(t[::-1])[::-1]  # diagonal and above
+            carry = suf[0]
+            suf *= self.phi[a:b]
+            out[a:b] += suf
+        return out
+
+    def layer(self, i: int, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Fold g_i(v) through the kernel; work (m values of the working
+        dtype, reused across the layers of a call) receives g_i(v) * w."""
+        g = self.spec.g[i]
+        for a, b in self.blocks:
+            try:
+                gv = np.asarray(g(np.asarray(v[a:b], dtype=float)), dtype=float)
+            except Exception as exc:
+                raise EvaluationError(f"nonlinearity {i + 1} failed: {exc}") from exc
+            # g itself is evaluated in double precision: its error enters
+            # through the integrand, which the kernel smooths; only the
+            # fold's output representation matters for defect checks
+            np.multiply(gv, self.w[a:b], out=work[a:b])
+        return self.kernel_fold(work)
+
+    def layers(self, values: np.ndarray):
+        """Yield the outputs of layers n, n-1, ..., 1 applied in turn to
+        values (u_n first, u_1 last); one g*w workspace serves them all."""
+        work = np.empty_like(self.w)
+        for i in range(self.spec.n - 1, -1, -1):
+            values = self.layer(i, values, work)
+            yield values
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = values
-        for i in range(self.spec.n - 1, -1, -1):
-            v = self.layer(i, v)
-        return v
+        for values in self.layers(values):
+            pass
+        return values
 
 
 def _match_grid(asm: _Assembled, u: GridFunction) -> np.ndarray:
-    if u.nodes.shape == asm.nodes.shape and np.array_equal(
-        u.nodes, asm.nodes.astype(float)
-    ):
+    nodes = np.asarray(asm.nodes, dtype=float)
+    if u.nodes.shape == nodes.shape and np.array_equal(u.nodes, nodes):
         return u.values
-    return u(asm.nodes.astype(float))
+    return u(nodes)
 
 
 def apply_operator(spec: ProblemSpec, u1: GridFunction) -> GridFunction:
@@ -229,15 +283,19 @@ def picard_solve(
     status = "max_iter"
     detail = ""
     w_plain = trapezoid_weights(asm.nodes)
+    diff = np.empty_like(u)
     for _ in range(max_iter):
         new = asm.apply(u)
         if not np.isfinite(new).all():
             status, detail = "diverging", "non-finite iterate"
             u = np.where(np.isfinite(new), new, 0.0)
             break
-        diff = np.abs(new - u)
+        np.subtract(new, u, out=diff)
+        np.abs(diff, out=diff)
         d = float(diff.max())
-        rho = float(np.sum(w_plain * diff**spec.metric_p) ** (1.0 / spec.metric_p))
+        diff **= spec.metric_p
+        diff *= w_plain
+        rho = float(np.sum(diff) ** (1.0 / spec.metric_p))
         d_hist.append(d)
         rho_hist.append(rho)
         u = new
@@ -286,24 +344,26 @@ def recover_components(
     second-difference defect checks on very fine grids.
     """
     asm = _Assembled(spec, extended=extended_precision)
-    base = _match_grid(asm, u1).astype(asm.w.dtype)
-    comps: list = [None] * spec.n
-    v = asm.layer(spec.n - 1, base)
-    comps[spec.n - 1] = v
-    for i in range(spec.n - 2, -1, -1):
-        v = asm.layer(i, v)
-        comps[i] = v
-    closure = float(np.max(np.abs(comps[0] - base)))
+    base = _match_grid(asm, u1)
+    comps = list(asm.layers(base))[::-1]
+    dtype = asm.w.dtype
+    closure = float(np.max([
+        np.max(np.abs(comps[0][a:b] - base[a:b].astype(dtype))) for a, b in asm.blocks
+    ]))
     if closure > 10.0 * tol:
         raise CycleConsistencyError(
             f"cyclic closure residual {closure:.3e} exceeds {10.0 * tol:.3e}"
         )
-    return [GridFunction(asm.nodes, c) for c in comps]
+    nodes = np.asarray(asm.nodes, dtype=float)  # one float64 copy for all n
+    return [GridFunction(nodes, c) for c in comps]
 
 
 def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tuple:
     """(absolute, relative) worst defect of D2 u_i - r0^2 u_i + ell * g_i(u_{i+1})
-    over interior nodes, evaluating each g_i once.
+    over interior nodes.
+
+    Runs block by block: each block evaluates ell and every g_i at its nodes
+    and their two neighbours only, and keeps running maxima.
 
     The absolute defect is O(h^2), but its constant grows like the weight's
     second derivative near the cutoff; the relative one divides by the local
@@ -312,25 +372,37 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
     if len(components) != spec.n:
         raise ValueError("component count must equal n")
     nodes = components[0].nodes
+    if nodes.size < 3:
+        raise ValueError("need an interior node")
     h = nodes[1] - nodes[0]
-    ell = np.asarray(weight_ell(nodes, spec.weights, spec.transform), dtype=float)
     r2 = spec.kernel.r0 ** 2
+    # per component, the block maxima of the defect and the relative defect
+    res_max: list = [[] for _ in range(spec.n)]
+    rel_max: list = [[] for _ in range(spec.n)]
+    for a, b in _blocks(nodes.size - 2):
+        win = slice(a, b + 2)  # the block's interior nodes and both neighbours
+        ell = np.asarray(
+            weight_ell(nodes[win], spec.weights, spec.transform), dtype=float
+        )
+        for i in range(spec.n):
+            u = components[i].values[win]
+            gv = np.asarray(spec.g[i](components[(i + 1) % spec.n].values[win]),
+                            dtype=float)
+            if gv.ndim == 0:
+                gv = np.full(u.shape, float(gv))
+            # only the second difference needs the components' precision;
+            # the rest runs in float64 (a no-op for float64 components)
+            d2 = np.asarray((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2, dtype=float)
+            mid = np.asarray(u[1:-1], dtype=float)
+            forcing = ell[1:-1] * gv[1:-1]
+            res = np.abs(d2 - r2 * mid + forcing)
+            scale = 1e-30 + np.abs(d2) + r2 * np.abs(mid) + np.abs(forcing)
+            res_max[i].append(np.max(res))
+            rel_max[i].append(np.max(res / scale))
     worst = relative = 0.0
     for i in range(spec.n):
-        u = components[i].values
-        u_next = components[(i + 1) % spec.n].values
-        gv = np.asarray(spec.g[i](u_next), dtype=float)
-        if gv.ndim == 0:
-            gv = np.full(u.shape, float(gv))
-        # only the second difference needs the components' precision; the
-        # rest runs in float64 (a no-op for float64 components)
-        d2 = np.asarray((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2, dtype=float)
-        mid = np.asarray(u[1:-1], dtype=float)
-        forcing = ell[1:-1] * gv[1:-1]
-        res = np.abs(d2 - r2 * mid + forcing)
-        scale = 1e-30 + np.abs(d2) + r2 * np.abs(mid) + np.abs(forcing)
-        worst = max(worst, float(np.max(res)))
-        relative = max(relative, float(np.max(res / scale)))
+        worst = max(worst, float(np.max(res_max[i])))
+        relative = max(relative, float(np.max(rel_max[i])))
     return worst, relative
 
 

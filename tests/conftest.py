@@ -49,6 +49,20 @@ def dense_bound_report(p, grid_size, tol=1e-12):
     )
 
 
+def whole_array_fold(asm, c):
+    """The separable kernel fold as one whole-array cumsum each way: the
+    reference route for the blocked solver._Assembled.kernel_fold."""
+    a = asm.phi * c
+    pre = np.cumsum(a)
+    pre -= a  # strictly below the diagonal
+    np.multiply(asm.psi, c, out=a)
+    suf = np.cumsum(a[::-1])[::-1]  # diagonal and above
+    pre *= asm.psi
+    suf *= asm.phi
+    pre += suf
+    return pre
+
+
 @pytest.fixture(scope="session")
 def default_params():
     return KernelParams.default()

@@ -5,6 +5,7 @@ import pytest
 
 from annulus_radial import cli
 from annulus_radial.config import ConfigError, config_from_dict, load_config
+from annulus_radial.kernel import cone_floor, wp
 from annulus_radial.reproduce import EXAMPLE_IDS, example_config
 from annulus_radial.solver import CycleConsistencyError
 
@@ -247,6 +248,21 @@ def test_cli_solve_example4_regularized(tmp_path, capsys):
     assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
     header = (out_dir / "profile.csv").read_text().splitlines()[0]
     assert header == "s,r,u1,u2"
+
+
+def test_cli_solve_cone_gap_uses_certified_floor(tmp_path, capsys):
+    # asymmetric kernel: wp = 0.613 bounds nothing, cone_floor = 0.0323 does
+    kernel = {"alpha": 5, "beta": 0.2, "gamma": 0.3, "delta": 4, "r0": 1.0, "N": 3}
+    doc = minimal_config(kernel=kernel, system={"n": 1, "g": ["1 + u/100"]})
+    assert cli.main(["solve", "--config", write_config(tmp_path, doc)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    params = config_from_dict(doc).kernel
+    assert payload["cone_floor"] == cone_floor(params)
+    assert payload["wp"] == wp(params) > 10.0 * payload["cone_floor"]
+    (comp,) = payload["cone"]
+    assert comp["cone_gap"] == comp["min"] - payload["cone_floor"] * comp["max"]
+    assert comp["cone_gap"] > 0.0  # the certified bound holds
+    assert comp["min"] - payload["wp"] * comp["max"] < -0.1  # what wp would claim
 
 
 def test_cli_solve_divergent_is_exit_4(tmp_path, capsys):

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import whole_array_fold
 
+from annulus_radial import solver
 from annulus_radial.conditions import contraction_constant
 from annulus_radial.exprlang import parse
 from annulus_radial.grid import GridFunction
 from annulus_radial.kernel import KernelParams, varrho, wp
 from annulus_radial.oracle import LinearBVP, solve_linear_fd
+from annulus_radial.quadrature import EvaluationError
 from annulus_radial.solver import (
     CycleConsistencyError,
     ProblemSpec,
@@ -16,6 +21,7 @@ from annulus_radial.solver import (
     radial_profile,
     recover_components,
     residual_check,
+    worst_defects,
     _Assembled,
 )
 from annulus_radial.weights import TransformSpec, WeightSpec
@@ -294,15 +300,19 @@ def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
                 assert abs(got - exact) <= bound, (k, got, exact)
 
 
-def test_longdouble_recovery_matches_float64_on_example4(
-    default_params, example4_weights, example4_nonlinearities
-):
+@pytest.fixture(scope="module")
+def example4_fine(default_params, example4_weights, example4_nonlinearities):
     spec = ProblemSpec(
         n=2, g=example4_nonlinearities, kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=2**18 + 1, cutoff=1e-3,
     )
     u, trace = picard_solve(spec, tol=1e-12)
     assert trace.converged
+    return spec, u
+
+
+def test_longdouble_recovery_matches_float64_on_example4(example4_fine):
+    spec, u = example4_fine
     c64 = recover_components(spec, u, tol=1e-10)
     cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
     assert all(c.values.dtype == np.longdouble for c in cld)
@@ -310,3 +320,102 @@ def test_longdouble_recovery_matches_float64_on_example4(
     for a, b in zip(c64, cld):
         assert float(np.max(np.abs(a.values - b.values.astype(float)))) <= 1e-9 * sup
     assert residual_check(spec, cld) <= 1e-4 * sup
+
+
+# ---------------------------------------------------------------------------
+# blocked passes over the grid
+# ---------------------------------------------------------------------------
+
+_G3 = ("cos(u)/10000", "u/(10000*(u+1))", "(1 + sin(u))/20000")
+
+
+def _example4_spec(default_params, example4_weights, m, g):
+    return ProblemSpec(
+        n=len(g), g=tuple(parse(src, "u") for src in g), kernel=default_params,
+        weights=example4_weights, transform=TS, grid_size=m, cutoff=1e-3,
+    )
+
+
+def _whole_array(mp, m):
+    """Make every pass one block and the fold the whole-array reference."""
+    mp.setattr(solver, "_BLOCK", m)
+    mp.setattr(_Assembled, "kernel_fold", whole_array_fold)
+
+
+def _pipeline(spec):
+    u, trace = picard_solve(spec, tol=1e-12)
+    c64 = recover_components(spec, u, tol=1e-10)
+    cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    return (u, trace.d_history, trace.rho_history, c64, cld,
+            worst_defects(spec, c64), worst_defects(spec, cld))
+
+
+@pytest.mark.parametrize("m", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocked_passes_bit_identical_to_whole_array(
+    m, n, monkeypatch, default_params, example4_weights
+):
+    spec = _example4_spec(default_params, example4_weights, m, _G3[:n])
+    blocked = _pipeline(spec)
+    with monkeypatch.context() as mp:
+        _whole_array(mp, m)
+        whole = _pipeline(spec)
+    u, d_hist, rho_hist, c64, cld, d64, dld = blocked
+    assert np.array_equal(u.values, whole[0].values)
+    assert (d_hist, rho_hist) == whole[1:3]
+    for got, want in zip(c64 + cld, whole[3] + whole[4]):
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.nodes, want.nodes)
+    assert (d64, dld) == whole[5:]
+
+
+def test_nonlinearity_failing_past_first_block_keeps_its_error(
+    monkeypatch, default_params, example4_weights
+):
+    m, k = 2**17 + 1, 2**16 + 5
+    spec = _example4_spec(default_params, example4_weights, m, ("1/(u - 1)",))
+    # a step from 0 to 1 at node k: g divides by zero from there on only
+    u1 = GridFunction(make_grid(spec), (np.arange(m) >= k).astype(float))
+    runs = (
+        lambda: picard_solve(spec, init=u1),
+        lambda: recover_components(spec, u1),
+        lambda: recover_components(spec, u1, extended_precision=True),
+    )
+
+    def messages():
+        out = []
+        for run in runs:
+            with pytest.raises(EvaluationError) as info:
+                run()
+            out.append(str(info.value))
+        return out
+
+    blocked = messages()
+    with monkeypatch.context() as mp:
+        _whole_array(mp, m)
+        assert messages() == blocked
+    assert all(msg.startswith("nonlinearity 1 failed: division by zero")
+               for msg in blocked)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recovery_and_defect_memory_on_example4(example4_fine):
+    # tracemalloc peaks measured at m = 2^18 + 1, pinned with ~10% headroom
+    spec, u = example4_fine
+    peak = _traced_peak(lambda: recover_components(spec, u, tol=1e-10))
+    assert peak <= 18.0e6  # measured 16.3 MB, 62 B/node
+    peak = _traced_peak(
+        lambda: recover_components(spec, u, tol=1e-10, extended_precision=True))
+    assert peak <= 38.0e6  # measured 34.6 MB, 132 B/node
+    cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    # every temporary of the defect is one block long, whatever m
+    assert _traced_peak(lambda: worst_defects(spec, cld)) <= 8.1e6  # measured 7.3 MB
