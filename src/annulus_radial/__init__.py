@@ -10,8 +10,10 @@ from .conditions import (
     check_avery_henderson,
     check_krasnoselskii,
     check_leggett_williams,
+    check_windows,
     compute_constants,
     contraction_constant,
+    contraction_constants,
     injected_constants,
     lipschitz_estimate,
 )

@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .conditions import (
+    WINDOW_FAMILIES,
     ConjugateExponentError,
-    check_avery_henderson,
-    check_krasnoselskii,
-    check_leggett_williams,
+    check_windows,
     compute_constants,
-    contraction_constant,
+    contraction_constants,
 )
 from .config import AppConfig, ConfigError, load_config
 from .exprlang import ExprError
@@ -137,13 +136,9 @@ def cmd_check(cfg: AppConfig, which: str, out: Path | None) -> int:
         (K,) = _need(cfg, "K")
         p = float(cfg.numerics["p"])
         q = float(cfg.numerics["q"])
-        results = {
-            label: contraction_constant(
-                cfg.kernel, cfg.weights, cfg.transform, K, cfg.n, p, q,
-                include_wp=flag,
-            )
-            for label, flag in (("without_wp", False), ("with_wp", True))
-        }
+        results = contraction_constants(
+            cfg.kernel, cfg.weights, cfg.transform, K, cfg.n, p, q
+        )
         payload = {
             "which": which,
             "contraction": {k: v.to_dict() for k, v in results.items()},
@@ -158,17 +153,8 @@ def cmd_check(cfg: AppConfig, which: str, out: Path | None) -> int:
     constants = compute_constants(
         cfg.kernel, cfg.weights, cfg.transform, float(cfg.numerics["q"])
     )
-    if which == "krasnoselskii":
-        a1, a2 = _need(cfg, "a1", "a2")
-        checks = check_krasnoselskii(cfg.g, a1, a2, constants)
-    elif which == "avery-henderson":
-        ap, bp, cp = _need(cfg, "a_prime", "b_prime", "c_prime")
-        checks = check_avery_henderson(cfg.g, ap, bp, cp, constants)
-    elif which == "leggett-williams":
-        ap, bp, cp = _need(cfg, "a_prime", "b_prime", "c_prime")
-        checks = check_leggett_williams(cfg.g, ap, bp, cp, constants)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown check '{which}'")
+    values = _need(cfg, *WINDOW_FAMILIES[which].keys)
+    (checks,) = check_windows(which, cfg.g, values, [constants])
     payload = {
         "which": which,
         "constants": constants.to_dict(),
@@ -281,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument(
         "--which",
         required=True,
-        choices=["krasnoselskii", "avery-henderson", "leggett-williams", "uniqueness"],
+        choices=[*WINDOW_FAMILIES, "uniqueness"],
     )
     ch.add_argument("--out", default=None)
 

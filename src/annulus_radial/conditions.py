@@ -10,17 +10,27 @@ a number (a divergent integral must never silently become a digit string).
 Window checks sample a nonlinearity over a stated u-interval (stratified
 grid plus golden-section refinement around the best candidates), compare the
 extremum against bound * window-parameter, and report the margin; borderline
-margins are flagged inconclusive rather than asserted.
+margins are flagged inconclusive rather than asserted.  Each family first
+plans its windows (WINDOW_FAMILIES maps a family to its window parameters
+and planner); one judge then evaluates each distinct window once, so equal
+nonlinearities, and several constants sets judged together by
+check_windows, share their extrema.  Expression trees compare by value, any
+other callable by identity; nothing is kept past the call.
+
+The contraction condition of the uniqueness theorem comes in two variants,
+with and without the wp factor; contraction_constants computes the two
+integrals they share once and combines them for both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .exprlang import Expr
 from .kernel import KernelParams, kernel_diag, wp as kernel_wp
 from .quadrature import (
     CONVERGED,
@@ -46,7 +56,10 @@ __all__ = [
     "check_krasnoselskii",
     "check_avery_henderson",
     "check_leggett_williams",
+    "check_windows",
+    "WINDOW_FAMILIES",
     "contraction_constant",
+    "contraction_constants",
     "lipschitz_estimate",
     "window_extremum",
 ]
@@ -352,6 +365,7 @@ def _eval_many(g: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_WINDOW_SAMPLES = 10001  # stratified grid points of a window extremum
 
 
 def _golden(g: Callable, a: float, b: float, sign: float, iters: int = 80) -> tuple:
@@ -377,13 +391,19 @@ def _golden(g: Callable, a: float, b: float, sign: float, iters: int = 80) -> tu
 
 
 def window_extremum(
-    g: Callable, lo: float, hi: float, mode: str = "max", samples: int = 10001
+    g: Callable,
+    lo: float,
+    hi: float,
+    mode: str = "max",
+    samples: int = _WINDOW_SAMPLES,
 ) -> tuple:
     """(extremal value, abscissa) of g over [lo, hi].
 
     Deterministic stratified grid plus golden-section polish around the ten
     best candidates; the polished result never loses to a sampled value.
     """
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     if hi < lo:
         raise ValueError("empty interval")
     if hi == lo:
@@ -404,34 +424,71 @@ def window_extremum(
     return best_val, best_x
 
 
-def _window(
-    hypothesis_id: str,
-    g_index: int,
-    g: Callable,
-    lo: float,
-    hi: float,
-    direction: str,
-    bound: float | None,
-    bound_note: str = "",
-    samples: int = 10001,
-) -> WindowCheck:
-    mode = "max" if direction in ("<=", "<") else "min"
-    worst, point = window_extremum(g, lo, hi, mode, samples)
-    if bound is None or not math.isfinite(bound):
+@dataclass(frozen=True, eq=False)
+class _Planned:
+    """One window before judgement: g against bound over [lo, hi]."""
+
+    hypothesis_id: str
+    g_index: int
+    g: Callable
+    lo: float
+    hi: float
+    direction: str
+    bound: float | None
+    note: str
+
+    @property
+    def mode(self) -> str:
+        return "max" if self.direction in ("<=", "<") else "min"
+
+    def same_extremum(self, other: "_Planned") -> bool:
+        """Whether other asks for this window's extremum: expression trees
+        compare by value, any other callable by identity."""
+        if (self.lo, self.hi, self.mode) != (other.lo, other.hi, other.mode):
+            return False
+        if isinstance(self.g, Expr) and isinstance(other.g, Expr):
+            return self.g == other.g
+        return self.g is other.g
+
+
+def _verdict(w: _Planned, worst: float, point: float) -> WindowCheck:
+    if w.bound is None or not math.isfinite(w.bound):
         return WindowCheck(
-            hypothesis_id, g_index, (lo, hi), None, direction, worst, point,
-            verdict=False, margin=None, conclusive=False,
-            note=bound_note or "bound unavailable",
+            w.hypothesis_id, w.g_index, (w.lo, w.hi), None, w.direction, worst,
+            point, verdict=False, margin=None, conclusive=False,
+            note=w.note or "bound unavailable",
         )
-    margin = (bound - worst) if direction in ("<=", "<") else (worst - bound)
-    strict = direction in ("<", ">")
+    margin = (w.bound - worst) if w.mode == "max" else (worst - w.bound)
+    strict = w.direction in ("<", ">")
     verdict = margin > 0.0 if strict else margin >= 0.0
-    resolution = 1e-9 * max(1.0, abs(bound), abs(worst))
+    resolution = 1e-9 * max(1.0, abs(w.bound), abs(worst))
     return WindowCheck(
-        hypothesis_id, g_index, (lo, hi), bound, direction, worst, point,
-        verdict=verdict, margin=margin, conclusive=abs(margin) > resolution,
-        note=bound_note,
+        w.hypothesis_id, w.g_index, (w.lo, w.hi), w.bound, w.direction, worst,
+        point, verdict=verdict, margin=margin,
+        conclusive=abs(margin) > resolution, note=w.note,
     )
+
+
+def _judge(plans: Sequence[list], samples: int) -> list:
+    """One WindowCheck list per plan.  window_extremum runs once per
+    distinct window across all plans, in plan order, so the first failing
+    evaluation is the one a window-by-window pass would hit."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    done: list = []  # (planned window, (worst value, abscissa))
+    out = []
+    for plan in plans:
+        checks = []
+        for w in plan:
+            for seen, extremum in done:
+                if w.same_extremum(seen):
+                    break
+            else:
+                extremum = window_extremum(w.g, w.lo, w.hi, w.mode, samples)
+                done.append((w, extremum))
+            checks.append(_verdict(w, *extremum))
+        out.append(checks)
+    return out
 
 
 def _bound_from(constant: ConstantValue, scale: float, reciprocal_of_constant: bool):
@@ -449,26 +506,94 @@ _UPPER_BY_CASE = {"sum<1": ("J4", "Q2"), "sum=1": ("J6", "N2"), "sum>1": ("J7", 
 _AH_UPPER_BY_CASE = {"sum<1": ("J9", "k2"), "sum=1": ("J9'", "k3"), "sum>1": ("J9''", "k4")}
 
 
+def _plan_krasnoselskii(g_list, a1, a2, constants) -> list:
+    if not 0 < a1 < a2:
+        raise ValueError("need 0 < a1 < a2")
+    upper_id, upper_name = _UPPER_BY_CASE[constants.p_case]
+    upper = constants[upper_name]
+    plan = []
+    for j, g in enumerate(g_list):
+        bound = _bound_from(upper, a2, reciprocal_of_constant=False)
+        plan.append(_Planned(upper_id, j, g, 0.0, a2, "<=", *bound))
+        bound = _bound_from(constants.Q1, a1, reciprocal_of_constant=False)
+        plan.append(_Planned("J5", j, g, 0.0, a1, ">=", *bound))
+    return plan
+
+
+def _plan_avery_henderson(
+    g_list, a_prime, b_prime, c_prime, constants, wp_value=None
+) -> list:
+    if not 0 < a_prime < b_prime < c_prime:
+        raise ValueError("need 0 < a' < b' < c'")
+    w = constants.wp if wp_value is None else wp_value
+    if not 0 < w <= 1:
+        raise ValueError("wp must lie in (0, 1]")
+    upper_id, upper_name = _AH_UPPER_BY_CASE[constants.p_case]
+    upper = constants[upper_name]
+    plan = []
+    for j, g in enumerate(g_list):
+        bound = _bound_from(constants.k1, c_prime, reciprocal_of_constant=True)
+        plan.append(_Planned("J8", j, g, c_prime, c_prime / w, ">", *bound))
+        bound = _bound_from(upper, b_prime, reciprocal_of_constant=True)
+        plan.append(_Planned(upper_id, j, g, 0.0, b_prime / w, "<", *bound))
+        bound = _bound_from(constants.k1, a_prime, reciprocal_of_constant=True)
+        plan.append(_Planned("J10", j, g, a_prime, a_prime / w, ">", *bound))
+    return plan
+
+
+def _plan_leggett_williams(g_list, a_prime, b_prime, c_prime, constants) -> list:
+    if not 0 < a_prime < b_prime < c_prime:
+        raise ValueError("need 0 < a' < b' < c'")
+    plan = []
+    for j, g in enumerate(g_list):
+        bound = _bound_from(constants.O1, a_prime, reciprocal_of_constant=True)
+        plan.append(_Planned("J11", j, g, 0.0, a_prime, "<", *bound))
+        bound = _bound_from(constants.O2, b_prime, reciprocal_of_constant=True)
+        plan.append(_Planned("J12", j, g, b_prime, c_prime, ">", *bound))
+        bound = _bound_from(constants.O1, c_prime, reciprocal_of_constant=True)
+        plan.append(_Planned("J13", j, g, 0.0, c_prime, "<", *bound))
+    return plan
+
+
+class _Family(NamedTuple):
+    keys: tuple  # the config's window parameters, in the planner's order
+    plan: Callable  # (g_list, *window values, constants) -> planned windows
+
+
+WINDOW_FAMILIES = {
+    "krasnoselskii": _Family(("a1", "a2"), _plan_krasnoselskii),
+    "avery-henderson": _Family(
+        ("a_prime", "b_prime", "c_prime"), _plan_avery_henderson
+    ),
+    "leggett-williams": _Family(
+        ("a_prime", "b_prime", "c_prime"), _plan_leggett_williams
+    ),
+}
+
+
+def check_windows(
+    which: str,
+    g_list: Sequence[Callable],
+    window_values: Sequence[float],
+    constant_sets: Sequence[ConstantsSet],
+) -> list:
+    """The windows of one family against each constants set, one
+    WindowCheck list per set; a window the sets share is evaluated once."""
+    plan = WINDOW_FAMILIES[which].plan
+    plans = [plan(g_list, *window_values, cs) for cs in constant_sets]
+    return _judge(plans, _WINDOW_SAMPLES)
+
+
 def check_krasnoselskii(
     g_list: Sequence[Callable],
     a1: float,
     a2: float,
     constants: ConstantsSet,
-    samples: int = 10001,
+    samples: int = _WINDOW_SAMPLES,
 ) -> list:
     """Upper window g <= C*a2 on [0, a2] and lower window g >= Q1*a1 on
     [0, a1]; the upper constant follows the summability case."""
-    if not 0 < a1 < a2:
-        raise ValueError("need 0 < a1 < a2")
-    upper_id, upper_name = _UPPER_BY_CASE[constants.p_case]
-    upper = constants[upper_name]
-    checks = []
-    for j, g in enumerate(g_list):
-        bound, note = _bound_from(upper, a2, reciprocal_of_constant=False)
-        checks.append(_window(upper_id, j, g, 0.0, a2, "<=", bound, note, samples))
-        bound, note = _bound_from(constants.Q1, a1, reciprocal_of_constant=False)
-        checks.append(_window("J5", j, g, 0.0, a1, ">=", bound, note, samples))
-    return checks
+    return _judge([_plan_krasnoselskii(g_list, a1, a2, constants)], samples)[0]
 
 
 def check_avery_henderson(
@@ -478,32 +603,14 @@ def check_avery_henderson(
     c_prime: float,
     constants: ConstantsSet,
     wp_value: float | None = None,
-    samples: int = 10001,
+    samples: int = _WINDOW_SAMPLES,
 ) -> list:
     """Three windows per nonlinearity: g > c'/k1 on [c', c'/wp],
     g < b'/k_upper on [0, b'/wp], g > a'/k1 on [a', a'/wp]."""
-    if not 0 < a_prime < b_prime < c_prime:
-        raise ValueError("need 0 < a' < b' < c'")
-    w = constants.wp if wp_value is None else wp_value
-    if not 0 < w <= 1:
-        raise ValueError("wp must lie in (0, 1]")
-    upper_id, upper_name = _AH_UPPER_BY_CASE[constants.p_case]
-    upper = constants[upper_name]
-    checks = []
-    for j, g in enumerate(g_list):
-        bound, note = _bound_from(constants.k1, c_prime, reciprocal_of_constant=True)
-        checks.append(
-            _window("J8", j, g, c_prime, c_prime / w, ">", bound, note, samples)
-        )
-        bound, note = _bound_from(upper, b_prime, reciprocal_of_constant=True)
-        checks.append(
-            _window(upper_id, j, g, 0.0, b_prime / w, "<", bound, note, samples)
-        )
-        bound, note = _bound_from(constants.k1, a_prime, reciprocal_of_constant=True)
-        checks.append(
-            _window("J10", j, g, a_prime, a_prime / w, ">", bound, note, samples)
-        )
-    return checks
+    plan = _plan_avery_henderson(
+        g_list, a_prime, b_prime, c_prime, constants, wp_value
+    )
+    return _judge([plan], samples)[0]
 
 
 def check_leggett_williams(
@@ -512,27 +619,81 @@ def check_leggett_williams(
     b_prime: float,
     c_prime: float,
     constants: ConstantsSet,
-    samples: int = 10001,
+    samples: int = _WINDOW_SAMPLES,
 ) -> list:
     """g < a'/O1 on [0, a'], g > b'/O2 on [b', c'], g < c'/O1 on [0, c']."""
-    if not 0 < a_prime < b_prime < c_prime:
-        raise ValueError("need 0 < a' < b' < c'")
-    checks = []
-    for j, g in enumerate(g_list):
-        bound, note = _bound_from(constants.O1, a_prime, reciprocal_of_constant=True)
-        checks.append(_window("J11", j, g, 0.0, a_prime, "<", bound, note, samples))
-        bound, note = _bound_from(constants.O2, b_prime, reciprocal_of_constant=True)
-        checks.append(
-            _window("J12", j, g, b_prime, c_prime, ">", bound, note, samples)
-        )
-        bound, note = _bound_from(constants.O1, c_prime, reciprocal_of_constant=True)
-        checks.append(_window("J13", j, g, 0.0, c_prime, "<", bound, note, samples))
-    return checks
+    plan = _plan_leggett_williams(g_list, a_prime, b_prime, c_prime, constants)
+    return _judge([plan], samples)[0]
 
 
 # ---------------------------------------------------------------------------
 # uniqueness machinery
 # ---------------------------------------------------------------------------
+
+
+_CONTRACTION_VARIANTS = (("without_wp", False), ("with_wp", True))
+
+
+def contraction_constants(
+    params: KernelParams,
+    ws: WeightSpec,
+    ts: TransformSpec,
+    K: float,
+    n: int,
+    p: float,
+    q: float,
+    tol: float = 1e-9,
+    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
+) -> dict:
+    """Left side of the two-metric contraction condition,
+
+        [wp? * K * prefactor]^(n+1) * (int |Y|)^n * (int |Y|^q)^(1/q)
+
+    with Y the diagonal-weighted kernel, as {"without_wp": ..., "with_wp":
+    ...}.  The worked example and the derivation drop the wp factor; the CLI
+    reports both.  One pass computes the two Y integrals for both variants,
+    and their divergence statuses propagate.
+    """
+    if K < 0:
+        raise ValueError("Lipschitz bound must be nonnegative")
+    if n < 1:
+        raise ValueError("system size must be >= 1")
+    if not (p > 1 and q > 1) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+        raise ConjugateExponentError("need p, q > 1 with 1/p + 1/q = 1")
+    if K == 0.0:
+        return {
+            label: IntegralResult(0.0, 0.0, CONVERGED, [(min(cutoffs), 0.0)])
+            for label, _ in _CONTRACTION_VARIANTS
+        }
+
+    def ups(t):
+        return np.abs(np.asarray(upsilon(t, params, ws, ts)))
+
+    I1 = integrate(ups, tol=tol, cutoffs=cutoffs)
+    Nq = p_norm(ups, q, tol=tol, cutoffs=cutoffs)
+    pref = 1.0 if ws.synthetic else params.r0 ** 2 / (params.N - 2.0) ** 2
+    nq_trace = dict(Nq.cutoff_trace)
+    status = _worst(I1.status, Nq.status)
+    rel = 0.0
+    if I1.value != 0.0:
+        rel += n * I1.abs_error_estimate / abs(I1.value)
+    if Nq.value != 0.0:
+        rel += Nq.abs_error_estimate / abs(Nq.value)
+    exponent = I1.exponent_estimate if I1.exponent_estimate is not None else Nq.exponent_estimate
+
+    w = kernel_wp(params)
+    out = {}
+    for label, include_wp in _CONTRACTION_VARIANTS:
+        factor = K * pref * (w if include_wp else 1.0)
+        lead = factor ** (n + 1)
+        trace = [
+            (eps, lead * v1**n * nq_trace[eps])
+            for eps, v1 in I1.cutoff_trace
+            if eps in nq_trace
+        ]
+        value = lead * I1.value**n * Nq.value
+        out[label] = IntegralResult(value, abs(value) * rel, status, trace, exponent)
+    return out
 
 
 def contraction_constant(
@@ -547,46 +708,10 @@ def contraction_constant(
     tol: float = 1e-9,
     cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
 ) -> IntegralResult:
-    """Left side of the two-metric contraction condition:
-
-        [wp? * K * prefactor]^(n+1) * (int |Y|)^n * (int |Y|^q)^(1/q)
-
-    with Y the diagonal-weighted kernel.  The wp factor is off by default
-    (the worked example and the derivation drop it); both variants are
-    reported by the CLI.  Divergence statuses of the Y integrals propagate.
-    """
-    if K < 0:
-        raise ValueError("Lipschitz bound must be nonnegative")
-    if n < 1:
-        raise ValueError("system size must be >= 1")
-    if not (p > 1 and q > 1) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise ConjugateExponentError("need p, q > 1 with 1/p + 1/q = 1")
-    if K == 0.0:
-        return IntegralResult(0.0, 0.0, CONVERGED, [(min(cutoffs), 0.0)])
-
-    def ups(t):
-        return np.abs(np.asarray(upsilon(t, params, ws, ts)))
-
-    I1 = integrate(ups, tol=tol, cutoffs=cutoffs)
-    Nq = p_norm(ups, q, tol=tol, cutoffs=cutoffs)
-    pref = 1.0 if ws.synthetic else params.r0 ** 2 / (params.N - 2.0) ** 2
-    factor = K * pref * (kernel_wp(params) if include_wp else 1.0)
-    lead = factor ** (n + 1)
-
-    nq_trace = dict(Nq.cutoff_trace)
-    trace = []
-    for eps, v1 in I1.cutoff_trace:
-        if eps in nq_trace:
-            trace.append((eps, lead * v1**n * nq_trace[eps]))
-    value = lead * I1.value**n * Nq.value
-    status = _worst(I1.status, Nq.status)
-    rel = 0.0
-    if I1.value != 0.0:
-        rel += n * I1.abs_error_estimate / abs(I1.value)
-    if Nq.value != 0.0:
-        rel += Nq.abs_error_estimate / abs(Nq.value)
-    exponent = I1.exponent_estimate if I1.exponent_estimate is not None else Nq.exponent_estimate
-    return IntegralResult(value, abs(value) * rel, status, trace, exponent)
+    """One variant of contraction_constants: with the wp factor when
+    include_wp, else without (the default)."""
+    both = contraction_constants(params, ws, ts, K, n, p, q, tol=tol, cutoffs=cutoffs)
+    return both["with_wp" if include_wp else "without_wp"]
 
 
 def lipschitz_estimate(

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 
 from .conditions import (
-    check_avery_henderson,
-    check_krasnoselskii,
-    check_leggett_williams,
+    WINDOW_FAMILIES,
+    check_windows,
     compute_constants,
-    contraction_constant,
+    contraction_constants,
     injected_constants,
     lipschitz_estimate,
     star_product,
@@ -237,29 +236,13 @@ def _reproduce_windows(example_id: int, cfg: AppConfig, spec: dict, report: dict
                           constants.k2)
         )
 
-    g_list = cfg.g
-    windows = cfg.windows
     bypass = injected_constants(spec["bypass"], wp_value=wp(cfg.kernel),
                                 p_case=constants.p_case)
-    if spec["check"] == "krasnoselskii":
-        checks_b = check_krasnoselskii(g_list, windows["a1"], windows["a2"], bypass)
-        checks_c = check_krasnoselskii(g_list, windows["a1"], windows["a2"], constants)
-    elif spec["check"] == "avery-henderson":
-        checks_b = check_avery_henderson(
-            g_list, windows["a_prime"], windows["b_prime"], windows["c_prime"], bypass
-        )
-        checks_c = check_avery_henderson(
-            g_list, windows["a_prime"], windows["b_prime"], windows["c_prime"],
-            constants,
-        )
-    else:
-        checks_b = check_leggett_williams(
-            g_list, windows["a_prime"], windows["b_prime"], windows["c_prime"], bypass
-        )
-        checks_c = check_leggett_williams(
-            g_list, windows["a_prime"], windows["b_prime"], windows["c_prime"],
-            constants,
-        )
+    # one batch: the bypass and computed sets judge the same windows
+    values = [cfg.windows[k] for k in WINDOW_FAMILIES[spec["check"]].keys]
+    checks_b, checks_c = check_windows(
+        spec["check"], cfg.g, values, [bypass, constants]
+    )
     report["windows_bypass"] = [c.to_dict() for c in checks_b]
     report["windows_computed"] = [c.to_dict() for c in checks_c]
 
@@ -291,12 +274,10 @@ def _reproduce_uniqueness(cfg: AppConfig, spec: dict, report: dict):
         )
 
     both = {}
-    for include_wp in (False, True):
-        res = contraction_constant(
-            cfg.kernel, cfg.weights, cfg.transform, K, cfg.n, p, q,
-            include_wp=include_wp,
-        )
-        label = "with_wp" if include_wp else "without_wp"
+    results = contraction_constants(
+        cfg.kernel, cfg.weights, cfg.transform, K, cfg.n, p, q
+    )
+    for label, res in results.items():
         both[label] = res.to_dict()
         report["rows"].append(
             _row(

@@ -5,12 +5,31 @@ are the second route for every dual-route check, so they stay primitive
 (composite Simpson / midpoint Riemann on dense uniform grids).
 """
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
-from annulus_radial import KernelParams, TransformSpec, WeightSpec
+from annulus_radial import KernelParams, TransformSpec, WeightSpec, cli
+from annulus_radial.conditions import (
+    _AH_UPPER_BY_CASE,
+    _UPPER_BY_CASE,
+    _bound_from,
+    _worst,
+    WindowCheck,
+    window_extremum,
+)
 from annulus_radial.exprlang import parse
-from annulus_radial.kernel import BoundReport, cone_floor, kernel_matrix
+from annulus_radial.kernel import BoundReport, cone_floor, kernel_matrix, wp
+from annulus_radial.quadrature import (
+    CONVERGED,
+    DEFAULT_CUTOFFS,
+    IntegralResult,
+    integrate,
+    p_norm,
+)
+from annulus_radial.weights import upsilon
 
 
 def composite_simpson(f, a, b, panels=1_000_000):
@@ -61,6 +80,124 @@ def whole_array_fold(asm, c):
     suf *= asm.phi
     pre += suf
     return pre
+
+
+def per_call_window(hypothesis_id, g_index, g, lo, hi, direction, bound,
+                    bound_note="", samples=10001):
+    """One window judged on its own extremum: the reference route for the
+    planned, shared-extremum window judge in conditions."""
+    mode = "max" if direction in ("<=", "<") else "min"
+    worst, point = window_extremum(g, lo, hi, mode, samples)
+    if bound is None or not math.isfinite(bound):
+        return WindowCheck(
+            hypothesis_id, g_index, (lo, hi), None, direction, worst, point,
+            verdict=False, margin=None, conclusive=False,
+            note=bound_note or "bound unavailable",
+        )
+    margin = (bound - worst) if direction in ("<=", "<") else (worst - bound)
+    strict = direction in ("<", ">")
+    verdict = margin > 0.0 if strict else margin >= 0.0
+    resolution = 1e-9 * max(1.0, abs(bound), abs(worst))
+    return WindowCheck(
+        hypothesis_id, g_index, (lo, hi), bound, direction, worst, point,
+        verdict=verdict, margin=margin, conclusive=abs(margin) > resolution,
+        note=bound_note,
+    )
+
+
+def per_call_checks(which, g_list, values, cs):
+    """The window checks of one family, each window evaluated on its own."""
+    checks = []
+    if which == "krasnoselskii":
+        a1, a2 = values
+        upper_id, upper_name = _UPPER_BY_CASE[cs.p_case]
+        for j, g in enumerate(g_list):
+            bound, note = _bound_from(cs[upper_name], a2, False)
+            checks.append(per_call_window(upper_id, j, g, 0.0, a2, "<=", bound, note))
+            bound, note = _bound_from(cs.Q1, a1, False)
+            checks.append(per_call_window("J5", j, g, 0.0, a1, ">=", bound, note))
+    elif which == "avery-henderson":
+        ap, bp, cp = values
+        w = cs.wp
+        upper_id, upper_name = _AH_UPPER_BY_CASE[cs.p_case]
+        for j, g in enumerate(g_list):
+            bound, note = _bound_from(cs.k1, cp, True)
+            checks.append(per_call_window("J8", j, g, cp, cp / w, ">", bound, note))
+            bound, note = _bound_from(cs[upper_name], bp, True)
+            checks.append(per_call_window(upper_id, j, g, 0.0, bp / w, "<", bound, note))
+            bound, note = _bound_from(cs.k1, ap, True)
+            checks.append(per_call_window("J10", j, g, ap, ap / w, ">", bound, note))
+    else:
+        ap, bp, cp = values
+        for j, g in enumerate(g_list):
+            bound, note = _bound_from(cs.O1, ap, True)
+            checks.append(per_call_window("J11", j, g, 0.0, ap, "<", bound, note))
+            bound, note = _bound_from(cs.O2, bp, True)
+            checks.append(per_call_window("J12", j, g, bp, cp, ">", bound, note))
+            bound, note = _bound_from(cs.O1, cp, True)
+            checks.append(per_call_window("J13", j, g, 0.0, cp, "<", bound, note))
+    return checks
+
+
+def per_call_contraction_constant(params, ws, ts, K, n, p, q, include_wp=False,
+                                  tol=1e-9, cutoffs=DEFAULT_CUTOFFS):
+    """The contraction value of one variant from its own two integrals: the
+    reference route for conditions.contraction_constants.  Validation is
+    left to the library route."""
+    if K == 0.0:
+        return IntegralResult(0.0, 0.0, CONVERGED, [(min(cutoffs), 0.0)])
+
+    def ups(t):
+        return np.abs(np.asarray(upsilon(t, params, ws, ts)))
+
+    I1 = integrate(ups, tol=tol, cutoffs=cutoffs)
+    Nq = p_norm(ups, q, tol=tol, cutoffs=cutoffs)
+    pref = 1.0 if ws.synthetic else params.r0 ** 2 / (params.N - 2.0) ** 2
+    factor = K * pref * (wp(params) if include_wp else 1.0)
+    lead = factor ** (n + 1)
+    nq_trace = dict(Nq.cutoff_trace)
+    trace = [(eps, lead * v1**n * nq_trace[eps])
+             for eps, v1 in I1.cutoff_trace if eps in nq_trace]
+    value = lead * I1.value**n * Nq.value
+    rel = 0.0
+    if I1.value != 0.0:
+        rel += n * I1.abs_error_estimate / abs(I1.value)
+    if Nq.value != 0.0:
+        rel += Nq.abs_error_estimate / abs(Nq.value)
+    exponent = (I1.exponent_estimate if I1.exponent_estimate is not None
+                else Nq.exponent_estimate)
+    return IntegralResult(value, abs(value) * rel, _worst(I1.status, Nq.status),
+                          trace, exponent)
+
+
+def use_per_call_route(monkeypatch):
+    """Send cli and reproduce through the reference routes: every window of
+    every constants set evaluated on its own, two contraction calls."""
+
+    def check_windows(which, g_list, values, constant_sets):
+        return [per_call_checks(which, g_list, values, cs) for cs in constant_sets]
+
+    def contraction_constants(*args):
+        return {label: per_call_contraction_constant(*args, include_wp=flag)
+                for label, flag in (("without_wp", False), ("with_wp", True))}
+
+    for mod in (cli, importlib.import_module("annulus_radial.reproduce")):
+        monkeypatch.setattr(mod, "check_windows", check_windows)
+        monkeypatch.setattr(mod, "contraction_constants", contraction_constants)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call appends its positional arguments to the
+    returned list."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,18 @@ import math
 
 import pytest
 
-from conftest import composite_simpson
+from conftest import composite_simpson, count_calls, per_call_contraction_constant
 
+from annulus_radial import conditions
 from annulus_radial.conditions import (
     ConjugateExponentError,
     check_avery_henderson,
     check_krasnoselskii,
     check_leggett_williams,
+    check_windows,
     compute_constants,
     contraction_constant,
+    contraction_constants,
     injected_constants,
     lipschitz_estimate,
     window_extremum,
@@ -215,9 +218,80 @@ def test_window_parameter_ordering_enforced():
         check_krasnoselskii([parse("1", "u")], 2.0, 1.0, constants)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_fewer_than_two_samples_is_a_value_error(samples):
+    g = parse("u", "u")
+    constants = injected_constants(
+        {"Q1": 1.0, "Q2": 1.0, "k1": 1.0, "k2": 1.0, "O1": 1.0, "O2": 1.0},
+        wp_value=0.5,
+    )
+    calls = [
+        lambda: window_extremum(g, 0.0, 1.0, "max", samples),
+        lambda: check_krasnoselskii([g], 1.0, 2.0, constants, samples=samples),
+        lambda: check_avery_henderson([g], 1.0, 2.0, 3.0, constants, samples=samples),
+        lambda: check_leggett_williams([g], 1.0, 2.0, 3.0, constants, samples=samples),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            call()
+
+
+def test_shared_windows_are_evaluated_once(monkeypatch):
+    constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
+    extrema = count_calls(monkeypatch, conditions, "window_extremum")
+    # equal expression trees share their extrema, within and across sets
+    twins = [parse("1 + u/10", "u"), parse("1 + u/10", "u")]
+    per_set = check_windows("krasnoselskii", twins, [1.0, 2.0], [constants, constants])
+    assert len(extrema) == 2
+    assert per_set[0] == per_set[1]
+    extremum = [(c.worst_value, c.worst_point) for c in per_set[0]]
+    assert extremum[:2] == extremum[2:]
+    # other callables compare by identity
+    f = lambda u: 1.0 + u / 10.0  # noqa: E731
+    g = lambda u: 1.0 + u / 10.0  # noqa: E731
+    extrema.clear()
+    check_krasnoselskii([f, f], 1.0, 2.0, constants)
+    assert len(extrema) == 2
+    extrema.clear()
+    check_krasnoselskii([f, g], 1.0, 2.0, constants)
+    assert len(extrema) == 4
+
+
+def test_window_evaluation_error_comes_from_the_first_window(monkeypatch):
+    constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
+    seen = []
+
+    def failing(g, lo, hi, mode, samples):
+        seen.append((lo, hi, mode))
+        raise RuntimeError("window failed")
+
+    monkeypatch.setattr(conditions, "window_extremum", failing)
+    with pytest.raises(RuntimeError, match="window failed"):
+        check_krasnoselskii([parse("u", "u")], 1.0, 2.0, constants)
+    assert seen == [(0.0, 2.0, "max")]
+
+
 # ---------------------------------------------------------------------------
 # contraction / Lipschitz
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("weights", ["synthetic_unit_weight", "example4_weights"])
+def test_contraction_variants_share_one_integral_pass(
+    weights, request, default_params, monkeypatch
+):
+    ws = request.getfixturevalue(weights)
+    args = (default_params, ws, TS, 1e-4, 2, 2.0, 2.0)
+    integrals = count_calls(monkeypatch, conditions, "integrate")
+    norms = count_calls(monkeypatch, conditions, "p_norm")
+    both = contraction_constants(*args)
+    assert (len(integrals), len(norms)) == (1, 1)
+    assert list(both) == ["without_wp", "with_wp"]
+    for label, include_wp in (("without_wp", False), ("with_wp", True)):
+        ref = per_call_contraction_constant(*args, include_wp=include_wp)
+        assert both[label].to_dict() == ref.to_dict()
+        assert contraction_constant(*args, include_wp=include_wp).to_dict() == ref.to_dict()
+
 
 
 def test_contraction_zero_lipschitz(default_params, synthetic_unit_weight):

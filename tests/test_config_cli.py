@@ -2,8 +2,9 @@ import json
 import math
 
 import pytest
+from conftest import count_calls, use_per_call_route
 
-from annulus_radial import cli
+from annulus_radial import cli, conditions
 from annulus_radial.config import ConfigError, config_from_dict, load_config
 from annulus_radial.kernel import cone_floor, wp
 from annulus_radial.reproduce import EXAMPLE_IDS, example_config
@@ -358,3 +359,84 @@ def test_report_json_key_order_stable(tmp_path, capsys):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert list(payload) == sorted(payload)
+
+
+# ---------------------------------------------------------------------------
+# shared window extrema and contraction integrals
+# ---------------------------------------------------------------------------
+
+_FAMILY = {1: "krasnoselskii", 2: "avery-henderson", 3: "leggett-williams",
+           4: "uniqueness"}
+# examples 1-3 have g1 = g2, so each distinct window is evaluated once
+_DISTINCT_WINDOWS = {1: 2, 2: 3, 3: 3}
+
+# a screen-style draw: asymmetric kernel, singular synthetic weight, g1 != g2
+_SCREEN_STYLE = {
+    "kernel": {"alpha": 2.352393, "beta": 2.268234, "gamma": 2.215996,
+               "delta": 1.529712, "r0": 0.85753, "N": 3},
+    "weights": {"synthetic": "0.639461*t^(-0.145025)"},
+    "system": {"n": 2, "g": ["3.53686 + 1.96622*sin(u)", "3.01376 + 1.96622*sin(u)"]},
+    "numerics": {"grid_size": 4097, "cutoff": 0.01, "tol": 1e-12, "max_iter": 200,
+                 "p": 2, "q": 2},
+    "windows": {"a1": 2.051458, "a2": 13.078546, "K": 1.96622},
+}
+
+
+def _cli_run(argv, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _against_per_call_route(argv, monkeypatch, capsys):
+    """(rc, stdout, stderr) of argv on both routes, and the window extrema,
+    integrate and p_norm calls the library route made in conditions."""
+    with monkeypatch.context() as m:
+        use_per_call_route(m)
+        ref = _cli_run(argv, capsys)
+    calls = [count_calls(monkeypatch, conditions, name)
+             for name in ("window_extremum", "integrate", "p_norm")]
+    assert _cli_run(argv, capsys) == ref
+    return calls
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_reproduce_matches_per_call_route(example, monkeypatch, capsys):
+    extrema, integrals, norms = _against_per_call_route(
+        ["reproduce", "--example", str(example)], monkeypatch, capsys)
+    if example == 4:
+        assert (len(extrema), len(integrals), len(norms)) == (0, 1, 1)
+    else:  # the bypass and computed sets share every window
+        assert len(extrema) == _DISTINCT_WINDOWS[example]
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_cli_check_matches_per_call_route(example, tmp_path, monkeypatch, capsys):
+    argv = ["check", "--config", write_config(tmp_path, example_config(example)),
+            "--which", _FAMILY[example]]
+    extrema, integrals, norms = _against_per_call_route(argv, monkeypatch, capsys)
+    if example == 4:
+        assert (len(extrema), len(integrals), len(norms)) == (0, 1, 1)
+    else:
+        assert len(extrema) == _DISTINCT_WINDOWS[example]
+
+
+def test_distinct_nonlinearities_evaluate_every_window(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, _SCREEN_STYLE)
+    extrema, _, _ = _against_per_call_route(
+        ["check", "--config", path, "--which", "krasnoselskii"], monkeypatch, capsys)
+    assert len(extrema) == 4  # two windows for each of g1, g2
+    monkeypatch.undo()
+    _, integrals, norms = _against_per_call_route(
+        ["check", "--config", path, "--which", "uniqueness"], monkeypatch, capsys)
+    assert (len(integrals), len(norms)) == (1, 1)
+    # the library calls of one screen draw make the same calls as before
+    monkeypatch.undo()
+    cfg = load_config(path)
+    cs = conditions.compute_constants(cfg.kernel, cfg.weights, cfg.transform, 2.0)
+    extrema, integrals, norms = (count_calls(monkeypatch, conditions, name)
+                                 for name in ("window_extremum", "integrate", "p_norm"))
+    conditions.check_krasnoselskii(cfg.g, 2.051458, 13.078546, cs)
+    conditions.contraction_constant(cfg.kernel, cfg.weights, cfg.transform,
+                                    1.96622, 2, 2.0, 2.0)
+    assert (len(extrema), len(integrals), len(norms)) == (4, 1, 1)

@@ -322,6 +322,33 @@ def test_longdouble_recovery_matches_float64_on_example4(example4_fine):
     assert residual_check(spec, cld) <= 1e-4 * sup
 
 
+def test_longdouble_recovery_takes_u1_on_the_float64_grid_as_it_is(
+    example4_fine, monkeypatch
+):
+    spec, u = example4_fine
+    assert np.array_equal(u.nodes, make_grid(spec))
+
+    def no_interpolation(self, x):
+        raise AssertionError("u1 was interpolated")
+
+    with monkeypatch.context() as m:
+        m.setattr(GridFunction, "__call__", no_interpolation)
+        cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+        # a u1 on other nodes still goes through interpolation
+        shifted = GridFunction(np.linspace(1e-3, 1.0, spec.grid_size - 2), u.values[1:-1])
+        with pytest.raises(AssertionError, match="interpolated"):
+            recover_components(spec, shifted, extended_precision=True)
+    # the longdouble nodes round to float64 off the grid by an ulp here and
+    # there; interpolating u1 onto them moves the components by ~1 ulp
+    rounded = np.asarray(_Assembled(spec, extended=True).nodes, dtype=float)
+    assert not np.array_equal(rounded, u.nodes)
+    old = recover_components(spec, GridFunction(rounded, u(rounded)), tol=1e-10,
+                             extended_precision=True)
+    sup = max(float(np.max(np.abs(c.values))) for c in cld)
+    for a, b in zip(old, cld):
+        assert float(np.max(np.abs(a.values - b.values))) <= 1e-15 * sup
+
+
 # ---------------------------------------------------------------------------
 # blocked passes over the grid
 # ---------------------------------------------------------------------------
