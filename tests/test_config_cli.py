@@ -436,7 +436,8 @@ def test_distinct_nonlinearities_evaluate_every_window(tmp_path, monkeypatch, ca
     cs = conditions.compute_constants(cfg.kernel, cfg.weights, cfg.transform, 2.0)
     extrema, integrals, norms = (count_calls(monkeypatch, conditions, name)
                                  for name in ("window_extremum", "integrate", "p_norm"))
-    conditions.check_krasnoselskii(cfg.g, 2.051458, 13.078546, cs)
+    win = cfg.windows
+    conditions.check_krasnoselskii(cfg.g, win["a1"], win["a2"], cs)
     conditions.contraction_constant(cfg.kernel, cfg.weights, cfg.transform,
-                                    1.96622, 2, 2.0, 2.0)
+                                    win["K"], cfg.n, 2.0, 2.0)
     assert (len(extrema), len(integrals), len(norms)) == (4, 1, 1)
