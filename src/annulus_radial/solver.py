@@ -21,13 +21,35 @@ the only m-long arrays are those a step keeps.  tracemalloc peaks per node
 iterate, plain trapezoid weights, the |new - u| buffer, one g*w workspace
 and two layer outputs; 72 B for n = 1), float64 recovery (5 + n)*8 B,
 longdouble recovery (5 + n)*16 + 8 B, and the defect check none: it peaks
-at ~7.3 MB whatever m (~112 B per block node).  Grids of at most 2^16 nodes
-run as one block.
+at ~7.3 MB whatever m (~112 B per block node).  On top of the m-long
+arrays, Picard and the float64 recovery hold ~2.1 MB of block buffers and
+the longdouble recovery ~4.2 MB.  Grids of at most 2^16 nodes run as one
+block.
+
+Threads: a grid of several blocks hands the block work that touches numpy
+only to a module-level thread pool, made on first use, with as many
+threads as this process may use CPUs, at most _MAX_WORKERS.  The calling
+thread keeps everything else: every public library call (weight_ell,
+trapezoid_weights, kernel.phi/psi, the nonlinearities), the prefix sweep
+of each kernel fold and the ell-weighted weights w.  The pool runs the
+suffix sweep of each fold and the longdouble phi/psi fill, one block per
+task.  Workers allocate nothing: they write into slices of phi, psi and
+the fold's output, and into block buffers that the calling thread
+allocated.  Every operation is the one the inline route performs, in the
+same order, so every float64 and longdouble number is the same bit for
+bit.  With one CPU or one block, the same per-block functions run inline;
+a child made by fork() makes its own pool.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -115,21 +137,100 @@ def make_grid(spec: ProblemSpec) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
+# A grid of several blocks hands its numpy-only block work to a pool of at
+# most this many threads, and no more than the CPUs this process may use.
+_MAX_WORKERS = 4
+
+_POOL = None  # (executor or None, workers), made on first use by _pool()
+
+
 def _blocks(m: int) -> list:
     """(start, stop) of the consecutive blocks of m nodes, left to right."""
     return [(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
 
 
-def _sinh_cosh(y: np.ndarray) -> tuple:
-    """(sinh y, cosh y) for y >= 0 from a single expm1 pass in y's dtype.
+def _pool() -> tuple:
+    """(executor, workers) of the module's thread pool; (None, 1) where this
+    process may use one CPU only, and everything then runs inline."""
+    global _POOL
+    if _POOL is None:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(cpus, _MAX_WORKERS)
+        _POOL = (
+            (ThreadPoolExecutor(workers, thread_name_prefix="annulus-radial"), workers)
+            if workers > 1 else (None, 1)
+        )
+    return _POOL
+
+
+def _forget_pool() -> None:
+    # a child made by fork() inherits the pool object but none of its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _together(here, tasks: list, buffers, inline: bool) -> None:
+    """Run the tasks on the pool while here() runs on the calling thread.
+
+    buffers() makes one set of block buffers.  The calling thread makes one
+    set per task that may run at once; each task is called with a set and
+    hands it back when done.  Tasks touch numpy only: no public library
+    function, and no allocation.  Returns when every task has finished; an
+    exception of here(), else the first one of a task in list order,
+    propagates as it was raised.  Without a pool, or with inline set,
+    here() and then each task run on the calling thread.
+    """
+    pool, workers = (None, 1) if inline else _pool()
+    sets = [buffers() for _ in range(min(workers, len(tasks)))]
+    if pool is None:
+        here()
+        for task in tasks:
+            task(*sets[0])
+        return
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for bufs in sets:
+        free.put(bufs)
+
+    def run(task):
+        bufs = free.get()
+        try:
+            task(*bufs)
+        finally:
+            free.put(bufs)
+
+    futures = [pool.submit(run, task) for task in tasks]
+    try:
+        here()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _sinh_cosh(y: np.ndarray, sh: np.ndarray, e: np.ndarray) -> tuple:
+    """(sinh y, cosh y) for y >= 0 from a single expm1 pass in y's dtype,
+    written into sh and over y; e is a third buffer of y's size.
 
     With em = expm1(y): sinh y = (em + em/(1+em))/2, cosh y = ((1+em) +
     1/(1+em))/2.  Neither sum cancels, unlike E - 1/E with E = exp(y), which
     loses sinh's relative accuracy as y -> 0.
     """
-    em = np.expm1(y)
-    e = 1.0 + em
-    return 0.5 * (em + em / e), 0.5 * (e + 1.0 / e)
+    em = np.expm1(y, out=y)
+    np.add(1.0, em, out=e)
+    np.divide(em, e, out=sh)
+    np.add(em, sh, out=sh)
+    sh *= 0.5
+    ch = np.divide(1.0, e, out=y)
+    np.add(e, ch, out=ch)
+    ch *= 0.5
+    return sh, ch
 
 
 class _Assembled:
@@ -144,7 +245,8 @@ class _Assembled:
     moves the solve report's relative defect by 2-5%, against its 1e-3 gate.
 
     phi, psi and the ell-weighted trapezoid weights w are filled one block
-    at a time; ell itself is never held for the whole grid.
+    at a time; ell itself is never held for the whole grid.  The longdouble
+    phi/psi blocks are filled on the pool while the calling thread fills w.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -160,58 +262,118 @@ class _Assembled:
         # node jitter alone injects ~2*ulp(node)*u'/h^2 into defect checks
         self.nodes = np.linspace(dtype(spec.cutoff), dtype(1.0), m, dtype=dtype)
         self.blocks = _blocks(m)
+        # one block leaves the threads nothing to share
+        self.inline = len(self.blocks) == 1
         self.phi, self.psi, self.w = (np.empty_like(self.nodes) for _ in range(3))
-        root = np.sqrt(dtype(varrho(spec.kernel)))
-        k = spec.kernel
+        self.root = np.sqrt(dtype(varrho(spec.kernel)))
+        if extended:
+            _together(self._weights,
+                      [partial(self._factors, a, b) for a, b in self.blocks],
+                      lambda: self._block_buffers(3), self.inline)
+        else:
+            self._weights()
+            k = spec.kernel
+            for a, b in self.blocks:
+                x = self.nodes[a:b]
+                np.divide(phi(k, x), self.root, out=self.phi[a:b])
+                np.divide(psi(k, x), self.root, out=self.psi[a:b])
+
+    def _weights(self) -> None:
+        """Fill w block by block (calling thread: it evaluates ell)."""
+        spec, m = self.spec, self.nodes.size
         for a, b in self.blocks:
-            x = self.nodes[a:b]
             # one neighbour node on each side gives the block's own weights
             lo, hi = max(a - 1, 0), min(b + 1, m)
-            ell = weight_ell(np.asarray(x, dtype=float), spec.weights, spec.transform)
+            ell = weight_ell(np.asarray(self.nodes[a:b], dtype=float), spec.weights,
+                             spec.transform)
             np.multiply(
                 trapezoid_weights(self.nodes[lo:hi])[a - lo:b - lo],
                 np.asarray(ell, dtype=float),
                 out=self.w[a:b],
             )
-            if extended:
-                sh, ch = _sinh_cosh(k.r0 * x)
-                self.phi[a:b] = (k.alpha * sh + k.beta * k.r0 * ch) / root
-                sh, ch = _sinh_cosh(k.r0 * (1.0 - x))
-                self.psi[a:b] = (k.gamma * sh + k.delta * k.r0 * ch) / root
-            else:
-                np.divide(phi(k, x), root, out=self.phi[a:b])
-                np.divide(psi(k, x), root, out=self.psi[a:b])
+
+    def _factors(self, a: int, b: int, y, sh, e) -> None:
+        """Fill the longdouble phi/psi of block [a, b) through the block
+        buffers y, sh and e; numpy only, so it may run on a worker."""
+        k = self.spec.kernel
+        x = self.nodes[a:b]
+        y, sh, e = y[:b - a], sh[:b - a], e[:b - a]
+
+        def factor(out, c_sh, c_ch):
+            # out = (c_sh sinh y + c_ch cosh y) / root, y in buffer y
+            s, c = _sinh_cosh(y, sh, e)
+            s *= c_sh
+            c *= c_ch
+            np.add(s, c, out=out)
+            np.divide(out, self.root, out=out)
+
+        np.multiply(k.r0, x, out=y)
+        factor(self.phi[a:b], k.alpha, k.beta * k.r0)
+        np.multiply(k.r0, np.subtract(1.0, x, out=y), out=y)
+        factor(self.psi[a:b], k.gamma, k.delta * k.r0)
 
     def kernel_fold(self, c: np.ndarray) -> np.ndarray:
         """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t).
 
-        Prefix sums run left to right and suffix sums right to left, one
-        block at a time.  Each block adds the running sum into its first
-        term before its cumsum, so every partial sum associates exactly as a
-        whole-array cumsum would.
+        Prefix sums run left to right on the calling thread while suffix
+        sums run right to left on a worker, one block at a time.  Each block
+        adds the running sum into its first term before its cumsum, so every
+        partial sum associates exactly as a whole-array cumsum would.  Per
+        block, the sweep that finishes first stores its part of the output
+        and the other adds its part in, always as prefix + suffix.
         """
         out = np.empty_like(c)
-        carry = None
-        for a, b in self.blocks:
-            t = self.phi[a:b] * c[a:b]
-            first = t[0]
-            if carry is not None:
-                t[0] += carry
-            np.cumsum(t, out=out[a:b])
-            carry = out[b - 1]
-            t[0] = first
-            out[a:b] -= t  # strictly below the diagonal
-            out[a:b] *= self.psi[a:b]
-        carry = None
-        for a, b in reversed(self.blocks):
-            t = self.psi[a:b] * c[a:b]
-            if carry is not None:
-                t[-1] += carry
-            suf = np.cumsum(t[::-1])[::-1]  # diagonal and above
-            carry = suf[0]
-            suf *= self.phi[a:b]
-            out[a:b] += suf
+        lock = threading.Lock()
+        stored: set = set()  # blocks that hold one sweep's part
+
+        def meet(k, part, prefix):
+            a, b = self.blocks[k]
+            with lock:
+                if k not in stored:
+                    stored.add(k)
+                    out[a:b] = part
+                elif prefix:
+                    np.add(part, out[a:b], out=out[a:b])
+                else:
+                    out[a:b] += part
+
+        def prefixes(t, p):
+            carry = None
+            for k, (a, b) in enumerate(self.blocks):
+                t_k, p_k = t[:b - a], p[:b - a]
+                np.multiply(self.phi[a:b], c[a:b], out=t_k)
+                first = t_k[0]
+                if carry is not None:
+                    t_k[0] += carry
+                np.cumsum(t_k, out=p_k)
+                carry = p_k[-1]
+                t_k[0] = first
+                p_k -= t_k  # strictly below the diagonal
+                p_k *= self.psi[a:b]
+                meet(k, p_k, True)
+
+        def suffixes(t, s):
+            carry = None
+            for k in range(len(self.blocks) - 1, -1, -1):
+                a, b = self.blocks[k]
+                t_k, s_k = t[:b - a], s[:b - a]
+                np.multiply(self.psi[a:b], c[a:b], out=t_k)
+                if carry is not None:
+                    t_k[-1] += carry
+                np.cumsum(t_k[::-1], out=s_k[::-1])  # diagonal and above
+                carry = s_k[0]
+                s_k *= self.phi[a:b]
+                meet(k, s_k, False)
+
+        mine = self._block_buffers(2)
+        _together(lambda: prefixes(*mine), [suffixes], lambda: self._block_buffers(2),
+                  self.inline)
         return out
+
+    def _block_buffers(self, count: int) -> tuple:
+        """count empty arrays of one block each, in the working dtype."""
+        size = min(_BLOCK, self.nodes.size)
+        return tuple(np.empty(size, self.nodes.dtype) for _ in range(count))
 
     def layer(self, i: int, v: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Fold g_i(v) through the kernel; work (m values of the working
@@ -258,6 +420,15 @@ def apply_operator(spec: ProblemSpec, u1: GridFunction) -> GridFunction:
     return GridFunction(asm.nodes, asm.apply(_match_grid(asm, u1)))
 
 
+def _lp_norm(diff: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum_j w_j diff_j^p)^(1/p) for diff >= 0, computed over diff; inf
+    where diff^p overflows."""
+    with np.errstate(over="ignore"):
+        diff **= p
+        diff *= w
+        return float(np.sum(diff) ** (1.0 / p))
+
+
 def picard_solve(
     spec: ProblemSpec,
     init: GridFunction | float | None = None,
@@ -267,7 +438,8 @@ def picard_solve(
     """Iterate u <- operator(u) until the sup metric drops below tol.
 
     Returns (fixed point candidate, SolveTrace); the trace carries the sup
-    and L^p distances of every step and a tail-ratio decay estimate.
+    and L^p distances of every step and a tail-ratio decay estimate.  init
+    is None (zero), a finite level, or a GridFunction.
     Divergence (sup distance growing 10x over five steps, or non-finite
     iterates) stops the loop with status 'diverging'.
     """
@@ -279,7 +451,10 @@ def picard_solve(
     elif isinstance(init, GridFunction):
         u = np.asarray(_match_grid(asm, init), dtype=float).copy()
     else:
-        u = np.full(asm.nodes.shape, float(init))
+        level = float(init)
+        if not math.isfinite(level):
+            raise ValueError(f"init must be finite, got {level!r}")
+        u = np.full(asm.nodes.shape, level)
 
     d_hist: list = []
     rho_hist: list = []
@@ -296,9 +471,13 @@ def picard_solve(
         np.subtract(new, u, out=diff)
         np.abs(diff, out=diff)
         d = float(diff.max())
-        diff **= spec.metric_p
-        diff *= w_plain
-        rho = float(np.sum(diff) ** (1.0 / spec.metric_p))
+        rho = _lp_norm(diff, w_plain, spec.metric_p)
+        if not math.isfinite(rho) and 0.0 < d < math.inf:
+            # |new - u|^p overflowed: the same distance in units of d
+            np.subtract(new, u, out=diff)
+            np.abs(diff, out=diff)
+            diff /= d
+            rho = d * _lp_norm(diff, w_plain, spec.metric_p)
         d_hist.append(d)
         rho_hist.append(rho)
         u = new

@@ -7,11 +7,12 @@ are the second route for every dual-route check, so they stay primitive
 
 import importlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from annulus_radial import KernelParams, TransformSpec, WeightSpec, cli
+from annulus_radial import KernelParams, TransformSpec, WeightSpec, cli, solver
 from annulus_radial.conditions import (
     _AH_UPPER_BY_CASE,
     _UPPER_BY_CASE,
@@ -29,7 +30,7 @@ from annulus_radial.quadrature import (
     integrate,
     p_norm,
 )
-from annulus_radial.weights import upsilon
+from annulus_radial.weights import kelvin_r, upsilon
 
 
 def composite_simpson(f, a, b, panels=1_000_000):
@@ -80,6 +81,39 @@ def whole_array_fold(asm, c):
     suf *= asm.phi
     pre += suf
     return pre
+
+
+def row_by_row_profile_csv(spec, components):
+    """The solve profile CSV formatted one row at a time, each value through
+    float(): the reference route for the column-wise cli._profile_csv."""
+    nodes = components[0].nodes
+    r = np.asarray(kelvin_r(nodes, spec.transform))
+    header = "s,r," + ",".join(f"u{i + 1}" for i in range(len(components)))
+    lines = [header]
+    for k in range(nodes.size):
+        vals = ",".join(repr(float(c.values[k])) for c in components)
+        lines.append(f"{float(nodes[k])!r},{float(r[k])!r},{vals}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def solver_route(monkeypatch):
+    """route(workers) sends the solver's block work to a fresh pool of that
+    many threads, whatever the CPUs of this process, and route(1) keeps it on
+    the calling thread (the inline route of a process that may use one CPU).
+    Returns the pool, or None; the previous pool is back after the test."""
+    pools = []
+
+    def route(workers):
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        if pool is not None:
+            pools.append(pool)
+        monkeypatch.setattr(solver, "_POOL", (pool, workers))
+        return pool
+
+    yield route
+    for pool in pools:
+        pool.shutdown()
 
 
 def per_call_window(hypothesis_id, g_index, g, lo, hi, direction, bound,

@@ -2,13 +2,13 @@ import json
 import math
 
 import pytest
-from conftest import count_calls, use_per_call_route
+from conftest import count_calls, row_by_row_profile_csv, use_per_call_route
 
 from annulus_radial import cli, conditions
 from annulus_radial.config import ConfigError, config_from_dict, load_config
 from annulus_radial.kernel import cone_floor, wp
 from annulus_radial.reproduce import EXAMPLE_IDS, example_config
-from annulus_radial.solver import CycleConsistencyError
+from annulus_radial.solver import CycleConsistencyError, picard_solve, recover_components
 
 
 def minimal_config(**overrides):
@@ -243,6 +243,18 @@ def test_cli_solve_writes_profile_and_trace(tmp_path, capsys):
     assert float(last[1]) == 1.0
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_profile_csv_matches_row_by_row_route(extended):
+    doc = example_config(4)
+    doc["numerics"]["grid_size"] = 4097
+    spec = config_from_dict(doc).problem_spec()
+    u, _ = picard_solve(spec, tol=1e-12)
+    comps = recover_components(spec, u, tol=1e-10, extended_precision=extended)
+    text = cli._profile_csv(spec, comps)
+    assert text == row_by_row_profile_csv(spec, comps)
+    assert text.count("\n") == 1 + 4097
+
+
 def test_cli_solve_example4_regularized(tmp_path, capsys):
     path = write_config(tmp_path, example_config(4), "ex4.json")
     out_dir = tmp_path / "sol4"
@@ -273,6 +285,30 @@ def test_cli_solve_divergent_is_exit_4(tmp_path, capsys):
     assert cli.main(["solve", "--config", path, "--init", "1.0"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["trace"]["status"] == "diverging"
+
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_cli_solve_non_finite_init_is_exit_2(level, tmp_path, capsys):
+    path = write_config(tmp_path, minimal_config())
+    assert cli.main(["solve", "--config", path, "--init", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--init must be finite" in captured.err
+
+
+def test_cli_solve_huge_init_reports_valid_json(tmp_path, capsys):
+    # |new - u|^2 overflows on the first step; the report must stay JSON
+    path = write_config(tmp_path, minimal_config())
+    assert cli.main(["solve", "--config", path, "--init", "1e308"]) == 4
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    trace = json.loads(out, parse_constant=reject)["trace"]
+    assert trace["status"] == "max_iter"
+    assert len(trace["rho_history"]) == trace["iterates"] == 50
+    assert all(0.0 < rho <= d for rho, d in zip(trace["rho_history"], trace["d_history"]))
 
 
 def test_cli_solve_evaluation_error_is_exit_4(tmp_path, capsys):

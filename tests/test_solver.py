@@ -1,13 +1,20 @@
+import dataclasses
+import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import whole_array_fold
+from conftest import count_calls, whole_array_fold
 
 from annulus_radial import solver
 from annulus_radial.conditions import contraction_constant
 from annulus_radial.exprlang import parse
-from annulus_radial.grid import GridFunction
+from annulus_radial.grid import GridFunction, trapezoid_weights
 from annulus_radial.kernel import KernelParams, varrho, wp
 from annulus_radial.oracle import LinearBVP, solve_linear_fd
 from annulus_radial.quadrature import EvaluationError
@@ -113,6 +120,29 @@ def test_divergence_detection(default_params, synthetic_unit_weight):
     assert not trace.converged
     assert trace.status == "diverging"
     assert trace.iterates < 50
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_picard_rejects_a_non_finite_start(level, default_params, synthetic_unit_weight):
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
+    with pytest.raises(ValueError, match="init must be finite"):
+        picard_solve(spec, init=level)
+
+
+def test_picard_lp_distance_survives_an_overflowing_power(
+    default_params, synthetic_unit_weight
+):
+    # |new - u|^2 overflows at u = 1e308: the step's L^p distance is then
+    # measured in units of the sup distance
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
+    _, trace = picard_solve(spec, init=1e308, tol=1e-12, max_iter=3)
+    assert all(math.isfinite(rho) for rho in trace.rho_history)
+    # the first step moves every node by about 1e308 (new is ~1e306)
+    total_w = float(np.sum(trapezoid_weights(make_grid(spec))))
+    assert trace.rho_history[0] == pytest.approx(
+        trace.d_history[0] * math.sqrt(total_w), rel=1e-2)
+    for rho, d in zip(trace.rho_history, trace.d_history):
+        assert rho <= d
 
 
 def test_max_iter_report(default_params, synthetic_unit_weight):
@@ -377,6 +407,18 @@ def _pipeline(spec):
             worst_defects(spec, c64), worst_defects(spec, cld))
 
 
+def _same_pipeline(got, want):
+    """Assert that two _pipeline results agree bit for bit."""
+    u, d_hist, rho_hist, c64, cld, d64, dld = got
+    assert np.array_equal(u.values, want[0].values)
+    assert (d_hist, rho_hist) == want[1:3]
+    for a, b in zip(c64 + cld, want[3] + want[4]):
+        assert a.values.dtype == b.values.dtype
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.nodes, b.nodes)
+    assert (d64, dld) == want[5:]
+
+
 @pytest.mark.parametrize("m", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_blocked_passes_bit_identical_to_whole_array(
@@ -386,15 +428,7 @@ def test_blocked_passes_bit_identical_to_whole_array(
     blocked = _pipeline(spec)
     with monkeypatch.context() as mp:
         _whole_array(mp, m)
-        whole = _pipeline(spec)
-    u, d_hist, rho_hist, c64, cld, d64, dld = blocked
-    assert np.array_equal(u.values, whole[0].values)
-    assert (d_hist, rho_hist) == whole[1:3]
-    for got, want in zip(c64 + cld, whole[3] + whole[4]):
-        assert got.values.dtype == want.values.dtype
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.nodes, want.nodes)
-    assert (d64, dld) == whole[5:]
+        _same_pipeline(blocked, _pipeline(spec))
 
 
 def test_nonlinearity_failing_past_first_block_keeps_its_error(
@@ -446,3 +480,138 @@ def test_recovery_and_defect_memory_on_example4(example4_fine):
     cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
     # every temporary of the defect is one block long, whatever m
     assert _traced_peak(lambda: worst_defects(spec, cld)) <= 8.1e6  # measured 7.3 MB
+
+
+# ---------------------------------------------------------------------------
+# block work on the thread pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2**16 + 1, 2**17 + 1, 2**18 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pool_bit_identical_to_inline(m, n, solver_route, default_params,
+                                      example4_weights):
+    spec = _example4_spec(default_params, example4_weights, m, _G3[:n])
+    solver_route(2)
+    pooled = _pipeline(spec)
+    solver_route(1)
+    _same_pipeline(pooled, _pipeline(spec))
+
+
+def test_pool_stress_many_blocks_more_workers_than_cores(
+    solver_route, monkeypatch, default_params, example4_weights
+):
+    # 16-node blocks make 17 blocks of 257 nodes, so the two sweeps of each
+    # fold meet 17 times and each longdouble fill has 17 tasks for 4 threads;
+    # a switch interval of a microsecond makes the threads interleave densely
+    monkeypatch.setattr(solver, "_BLOCK", 16)
+    spec = _example4_spec(default_params, example4_weights, 257, _G3[:1])
+    c = np.random.default_rng(7).random(spec.grid_size)
+    solver_route(1)
+    asm = _Assembled(spec)
+    want = asm.kernel_fold(c)
+    want_ld = _Assembled(spec, extended=True)
+    solver_route(4)
+    asm = _Assembled(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(1500):
+            assert np.array_equal(asm.kernel_fold(c), want)
+        for _ in range(20):
+            got_ld = _Assembled(spec, extended=True)
+            assert np.array_equal(got_ld.phi, want_ld.phi)
+            assert np.array_equal(got_ld.psi, want_ld.psi)
+            assert np.array_equal(got_ld.w, want_ld.w)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_public_calls_stay_on_the_calling_thread(
+    solver_route, monkeypatch, default_params, example4_weights
+):
+    solver_route(2)
+    threads = {"public": [], "expm1": []}
+
+    def on_thread(key, fn):
+        def recorded(*args, **kwargs):
+            threads[key].append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for name in ("weight_ell", "trapezoid_weights", "phi", "psi"):
+        monkeypatch.setattr(solver, name, on_thread("public", getattr(solver, name)))
+    monkeypatch.setattr(solver, "_sinh_cosh", on_thread("expm1", solver._sinh_cosh))
+    spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
+    spec = dataclasses.replace(spec, g=tuple(on_thread("public", g) for g in spec.g))
+    _pipeline(spec)
+    assert len(threads["public"]) > 20
+    assert set(threads["public"]) == {threading.get_ident()}
+    # the pool did run the longdouble factors, so the check above means something
+    assert threads["expm1"]
+    assert threading.get_ident() not in threads["expm1"]
+
+
+def test_worker_exception_reaches_the_caller(
+    solver_route, monkeypatch, default_params, example4_weights
+):
+    solver_route(2)
+    spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
+    u, _ = picard_solve(spec, tol=1e-12)
+    want = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    raised = []
+    sinh_cosh = solver._sinh_cosh
+
+    def fails_on_the_last_block(y, sh, e):
+        if y.size < solver._BLOCK:  # the short last block only
+            raised.append(ArithmeticError("block failed"))
+            raise raised[-1]
+        return sinh_cosh(y, sh, e)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_sinh_cosh", fails_on_the_last_block)
+        with pytest.raises(ArithmeticError) as info:
+            recover_components(spec, u, tol=1e-10, extended_precision=True)
+    assert info.value is raised[0]
+    # the pool is still there and serves the next call
+    got = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() with threads
+def test_forked_child_runs_its_own_pool(solver_route, default_params,
+                                        example4_weights):
+    solver_route(2)
+    spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
+    u0 = GridFunction.constant(make_grid(spec), 1.0)
+    want = apply_operator(spec, u0).values  # the parent's pool is running
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(apply_operator(spec, u0).values, want) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on the parent's pool")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("m", [4097, 2**16])
+def test_one_block_grid_submits_nothing(m, solver_route, monkeypatch,
+                                        default_params, example4_weights):
+    pool = solver_route(2)
+    submitted = count_calls(monkeypatch, pool, "submit")
+    _pipeline(_example4_spec(default_params, example4_weights, m, _G3[:2]))
+    assert submitted == []
+    _pipeline(_example4_spec(default_params, example4_weights, 2**16 + 1, _G3[:2]))
+    assert submitted
