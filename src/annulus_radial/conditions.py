@@ -355,6 +355,10 @@ class WindowCheck:
 
 
 def _eval_many(g: Callable, xs: np.ndarray) -> np.ndarray:
+    """g at every point of xs: one array call; point by point only for a
+    plain callable that cannot take an array."""
+    if isinstance(g, Expr):
+        return g.eval_array(xs)
     try:
         vals = np.asarray(g(xs), dtype=float)
         if vals.shape == xs.shape:
@@ -520,12 +524,10 @@ def _plan_krasnoselskii(g_list, a1, a2, constants) -> list:
     return plan
 
 
-def _plan_avery_henderson(
-    g_list, a_prime, b_prime, c_prime, constants, wp_value=None
-) -> list:
+def _plan_avery_henderson(g_list, a_prime, b_prime, c_prime, constants) -> list:
     if not 0 < a_prime < b_prime < c_prime:
         raise ValueError("need 0 < a' < b' < c'")
-    w = constants.wp if wp_value is None else wp_value
+    w = constants.wp
     if not 0 < w <= 1:
         raise ValueError("wp must lie in (0, 1]")
     upper_id, upper_name = _AH_UPPER_BY_CASE[constants.p_case]
@@ -602,14 +604,11 @@ def check_avery_henderson(
     b_prime: float,
     c_prime: float,
     constants: ConstantsSet,
-    wp_value: float | None = None,
     samples: int = _WINDOW_SAMPLES,
 ) -> list:
     """Three windows per nonlinearity: g > c'/k1 on [c', c'/wp],
     g < b'/k_upper on [0, b'/wp], g > a'/k1 on [a', a'/wp]."""
-    plan = _plan_avery_henderson(
-        g_list, a_prime, b_prime, c_prime, constants, wp_value
-    )
+    plan = _plan_avery_henderson(g_list, a_prime, b_prime, c_prime, constants)
     return _judge([plan], samples)[0]
 
 

@@ -79,7 +79,6 @@ class AppConfig:
     g: tuple
     numerics: dict
     windows: dict
-    raw: dict
 
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec(
@@ -207,7 +206,6 @@ def config_from_dict(doc: dict) -> AppConfig:
         g=g,
         numerics=numerics,
         windows=windows,
-        raw=doc,
     )
 
 

@@ -13,15 +13,37 @@ Grammar (standard precedence, tightest first):
 
 Exactly one free variable is allowed per expression (``t`` for weights,
 ``u`` for nonlinearities); any other identifier is rejected at parse time.
-Every ``piecewise`` must end with an ``else`` branch.  Evaluation is plain
-IEEE double arithmetic; domain problems (division by zero, log of a
-nonpositive number, fractional power of a negative base, overflow) raise
-``ExprDomainError`` naming the offending subexpression, never crash.
+Every ``piecewise`` must end with an ``else`` branch.
+
+Evaluation.  Each node has one evaluation method, which takes either a
+Python float (``Expr.eval``) or a float64 array (``Expr.eval_array``, run
+under one ``np.errstate(all="ignore")``).  The same rules hold for both:
+
+- ``+ - *`` and unary minus are plain IEEE arithmetic.
+- Division by zero, ``sqrt`` of a negative value, ``log`` of a nonpositive
+  value, a negative base with a fractional exponent and zero raised to a
+  negative power raise ``ExprDomainError``.
+- A non-finite result of ``/``, ``^`` or a function from finite operands
+  (an overflow) raises ``ExprDomainError``; non-finite operands propagate.
+- ``piecewise`` takes the first branch whose condition holds, and tests
+  each condition only at points that no earlier branch took.
+- Every message reads ``<rule> in '<subexpression>' at x=<point>``, where
+  the point is the first one of the input that breaks the rule, printed as
+  a float.
+
+Only the backend follows the input kind: ``math`` functions and
+``exp(b*log(a))`` (``math.pow`` for an integral b) for a float, numpy
+ufuncs and ``np.power`` for an array, so the two paths may differ in the
+last bit wherever a function or ``^`` is involved.  ``np.power`` always
+gets its exponent as an array of the input's shape: a scalar exponent of
+2, 0.5 or -1 takes numpy's square/sqrt/reciprocal shortcut, whose results
+differ from ``pow``'s in the last bit at some points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +89,27 @@ class ExprDomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression node; subclasses implement _eval/_eval_np."""
+    """Immutable expression node; subclasses implement _ev(x) for a float
+    and for a float64 array alike."""
 
     __slots__ = ()
 
     def eval(self, x: float) -> float:
         """Evaluate at a scalar point."""
-        return self._eval(float(x))
+        return self._ev(float(x))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; same domain rules as the scalar path."""
+        """Evaluate at every point of x; a new array of x's shape."""
         x = np.asarray(x, dtype=float)
-        return self._eval_np(x)
+        if x.size == 0:
+            return np.empty(x.shape)
+        with np.errstate(all="ignore"):
+            out = self._ev(x)
+        if out is x:
+            return x.copy()
+        if not isinstance(out, np.ndarray):  # a constant, or x was 0-d
+            return np.full(x.shape, out)
+        return out
 
     def __call__(self, x):
         if np.ndim(x) == 0:
@@ -88,10 +119,7 @@ class Expr:
     def __str__(self) -> str:
         return to_source(self)
 
-    def _eval(self, x: float) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _eval_np(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def _ev(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -99,33 +127,24 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def _eval(self, x):
+    def _ev(self, x):
         return self.value
-
-    def _eval_np(self, x):
-        return np.full(x.shape, self.value)
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
-    def _eval(self, x):
+    def _ev(self, x):
         return x
-
-    def _eval_np(self, x):
-        return x.copy()
 
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
     operand: Expr
 
-    def _eval(self, x):
-        return -self.operand._eval(x)
-
-    def _eval_np(self, x):
-        return -self.operand._eval_np(x)
+    def _ev(self, x):
+        return -self.operand._ev(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,9 +153,9 @@ class Bin(Expr):
     lhs: Expr
     rhs: Expr
 
-    def _eval(self, x):
-        a = self.lhs._eval(x)
-        b = self.rhs._eval(x)
+    def _ev(self, x):
+        a = self.lhs._ev(x)
+        b = self.rhs._ev(x)
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -144,28 +163,9 @@ class Bin(Expr):
         if self.op == "*":
             return a * b
         if self.op == "/":
-            if b == 0.0:
-                raise ExprDomainError(f"division by zero in '{self}' at x={x!r}")
-            return a / b
-        return _power(a, b, self, x)
-
-    def _eval_np(self, x):
-        a = self.lhs._eval_np(x)
-        b = self.rhs._eval_np(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            bad = b == 0.0
-            if bad.any():
-                raise ExprDomainError(
-                    f"division by zero in '{self}' at x={x[bad][0]!r}"
-                )
-            return a / b
-        return _power_np(a, b, self, x)
+            _check(b == 0.0, "division by zero", self, x)
+            return _finite(a / b, self, x, a, b)
+        return _finite(_power(a, b, self, x), self, x, a, b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,36 +173,20 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def _eval(self, x):
-        v = self.arg._eval(x)
-        try:
-            if self.func == "sqrt":
-                if v < 0.0:
-                    raise ValueError
-                return math.sqrt(v)
-            if self.func == "log":
-                if v <= 0.0:
-                    raise ValueError
-                return math.log(v)
-            if self.func == "abs":
-                return abs(v)
-            return getattr(math, self.func)(v)
-        except (ValueError, OverflowError) as exc:
-            raise ExprDomainError(
-                f"{self.func} undefined or overflowing in '{self}' at x={x!r}"
-            ) from exc
-
-    def _eval_np(self, x):
-        v = self.arg._eval_np(x)
-        if self.func == "sqrt" and (v < 0.0).any():
-            raise ExprDomainError(f"sqrt of negative value in '{self}'")
-        if self.func == "log" and (v <= 0.0).any():
-            raise ExprDomainError(f"log of nonpositive value in '{self}'")
-        fn = np.abs if self.func == "abs" else getattr(np, self.func)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = fn(v)
-        _check_finite(out, v, self)
+    def _ev(self, x):
+        v = self.arg._ev(x)
+        if self.func == "sqrt":
+            _check(v < 0.0, "sqrt of negative value", self, x)
+        elif self.func == "log":
+            _check(v <= 0.0, "log of nonpositive value", self, x)
+        out = _apply(self.func, v, x)
+        if self.func in _GROWING:
+            out = _finite(out, self, x, v)
         return out
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq}
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,37 +195,9 @@ class Cond(Expr):
     lhs: Expr
     rhs: Expr
 
-    def test(self, x: float) -> bool:
-        a = self.lhs._eval(x)
-        b = self.rhs._eval(x)
-        if self.op == "<":
-            return a < b
-        if self.op == "<=":
-            return a <= b
-        if self.op == ">":
-            return a > b
-        if self.op == ">=":
-            return a >= b
-        return a == b
-
-    def test_np(self, x: np.ndarray) -> np.ndarray:
-        a = self.lhs._eval_np(x)
-        b = self.rhs._eval_np(x)
-        if self.op == "<":
-            return a < b
-        if self.op == "<=":
-            return a <= b
-        if self.op == ">":
-            return a > b
-        if self.op == ">=":
-            return a >= b
-        return a == b
-
-    def _eval(self, x):  # conditions are not standalone values
-        raise ExprDomainError("comparison used as a value")
-
-    def _eval_np(self, x):
-        raise ExprDomainError("comparison used as a value")
+    def _ev(self, x):
+        """Whether the comparison holds: a bool, or a bool array."""
+        return _COMPARE[self.op](self.lhs._ev(x), self.rhs._ev(x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,62 +205,93 @@ class Piecewise(Expr):
     # branches: ((cond, expr), ..., (None, expr)); trailing None is the else
     branches: tuple
 
-    def _eval(self, x):
-        for cond, expr in self.branches:
-            if cond is None or cond.test(x):
-                return expr._eval(x)
-        raise ExprDomainError("piecewise fell through")  # unreachable
-
-    def _eval_np(self, x):
+    def _ev(self, x):
+        if isinstance(x, float):
+            for cond, expr in self.branches:
+                if cond is None or cond._ev(x):
+                    return expr._ev(x)
         out = np.empty(x.shape)
-        remaining = np.ones(x.shape, dtype=bool)
+        rest = np.ones(x.shape, dtype=bool)  # points no branch has taken
         for cond, expr in self.branches:
-            active = remaining if cond is None else (remaining & cond.test_np(x))
-            if active.any():
-                out[active] = expr._eval_np(x[active])
-            remaining = remaining & ~active
+            take = rest.copy()
+            if cond is not None:
+                take[rest] = cond._ev(x[rest])
+            if take.any():
+                out[take] = expr._ev(x[take])
+            rest &= ~take
+            if not rest.any():
+                break
         return out
 
 
-def _power(a: float, b: float, node: Expr, x) -> float:
-    if float(b).is_integer():
-        if a == 0.0 and b < 0.0:
-            raise ExprDomainError(f"zero raised to negative power in '{node}' at x={x!r}")
-        try:
-            return math.pow(a, b)
-        except OverflowError as exc:
-            raise ExprDomainError(f"overflow in '{node}' at x={x!r}") from exc
-    if a < 0.0:
-        raise ExprDomainError(
-            f"negative base with fractional exponent in '{node}' at x={x!r}"
-        )
-    if a == 0.0:
-        if b < 0.0:
-            raise ExprDomainError(f"zero raised to negative power in '{node}' at x={x!r}")
-        return 0.0
+# The backends part only in these helpers, on the kind of the input x: a
+# Python float from eval, or an ndarray from eval_array.
+
+# the only functions that can overflow at a finite argument
+_GROWING = ("exp", "sinh", "cosh")
+_MATH = {name: abs if name == "abs" else getattr(math, name) for name in FUNCTIONS}
+_NUMPY = {name: getattr(np, name) for name in FUNCTIONS}
+
+
+def _apply(func: str, v, x):
+    """func(v): numpy's ufunc for an array input, math's for a float."""
+    if not isinstance(x, float):
+        return _NUMPY[func](v)
     try:
-        return math.exp(b * math.log(a))
-    except OverflowError as exc:
-        raise ExprDomainError(f"overflow in '{node}' at x={x!r}") from exc
+        return _MATH[func](v)
+    except OverflowError:  # exp, sinh or cosh of a finite value
+        return math.inf
+    except ValueError:  # sin or cos of an infinity
+        return math.nan
 
 
-def _power_np(a: np.ndarray, b: np.ndarray, node: Expr, x: np.ndarray) -> np.ndarray:
-    int_exp = np.mod(b, 1.0) == 0.0
-    bad = ((a < 0.0) & ~int_exp) | ((a == 0.0) & (b < 0.0))
-    if bad.any():
-        raise ExprDomainError(
-            f"invalid base/exponent pair in '{node}' at x={x[bad][0]!r}"
-        )
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.power(a, b)
-    _check_finite(out, a, node)
+def _power(a, b, node: Expr, x):
+    """a^b: np.power for an array input, exp(b*log(a)) or, for an integral
+    b, math.pow for a float."""
+    array = not isinstance(x, float)
+    if array and not isinstance(b, np.ndarray):
+        b = np.full(x.shape, b)  # see the module docstring
+    frac = np.mod(b, 1.0) != 0.0 if array else not b.is_integer()
+    _check((a < 0.0) & frac, "negative base with fractional exponent", node, x)
+    _check((a == 0.0) & (b < 0.0), "zero raised to negative power", node, x)
+    if array:
+        return np.power(a, b)
+    try:
+        if not frac:
+            return math.pow(a, b)
+        return 0.0 if a == 0.0 else math.exp(b * math.log(a))
+    except OverflowError:
+        return math.inf
+
+
+def _finite(out, node: Expr, x, *operands):
+    """out, unless it is non-finite where every operand is finite."""
+    if isinstance(out, float) and math.isfinite(out):
+        return out
+    if isinstance(x, float):
+        bad = all(map(math.isfinite, operands))
+    elif np.isfinite(out).all():
+        return out
+    else:
+        bad = ~np.isfinite(out)
+        for v in operands:
+            bad &= np.isfinite(v)
+    _check(bad, "overflow", node, x)
     return out
 
 
-def _check_finite(out: np.ndarray, inp: np.ndarray, node: Expr) -> None:
-    bad = ~np.isfinite(out) & np.isfinite(inp)
-    if bad.any():
-        raise ExprDomainError(f"overflow or invalid value in '{node}'")
+def _check(bad, rule: str, node: Expr, x) -> None:
+    """Raise ExprDomainError at the first point of x where bad holds: a
+    bool for a float x, a bool or bool array of x's shape for an array."""
+    if isinstance(x, float):
+        if not bad:
+            return
+    else:
+        bad = np.broadcast_to(bad, x.shape)
+        if not bad.any():
+            return
+        x = float(x[bad][0])
+    raise ExprDomainError(f"{rule} in '{node}' at x={x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -571,8 +571,8 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
         )
         for i in range(spec.n):
             u = components[i].values[win]
-            gv = np.asarray(spec.g[i](components[(i + 1) % spec.n].values[win]),
-                            dtype=float)
+            v = np.asarray(components[(i + 1) % spec.n].values[win], dtype=float)
+            gv = np.asarray(spec.g[i](v), dtype=float)
             if gv.ndim == 0:
                 gv = np.full(u.shape, float(gv))
             # only the second difference needs the components' precision;
@@ -628,11 +628,16 @@ def multistart_solve(
     """Picard from several constant starts; dedupe converged fixed points.
 
     Best-effort probe of multiple-solution regimes; no guarantee that every
-    solution promised by the cone theorems is found.
+    solution promised by the cone theorems is found.  A start whose iterates
+    leave the domain of some g_i (an overflow, say) counts as diverging.
     """
     found: list = []
     for level in levels:
-        u, trace = picard_solve(spec, init=float(level), tol=tol, max_iter=max_iter)
+        try:
+            u, trace = picard_solve(spec, init=float(level), tol=tol,
+                                    max_iter=max_iter)
+        except EvaluationError:
+            continue
         if not trace.converged:
             continue
         scale = max(1.0, float(np.max(np.abs(u.values))))

@@ -67,10 +67,6 @@ class TransformSpec:
         if self.R1 is not None and not (0 < self.R1 < self.R2):
             raise ValueError("annulus radii need 0 < R1 < R2")
 
-    @classmethod
-    def from_kernel(cls, p: KernelParams, R1=None, R2=None) -> "TransformSpec":
-        return cls(r0=p.r0, N=p.N, R1=R1, R2=R2)
-
 
 @dataclass(frozen=True)
 class WeightSpec:

@@ -359,12 +359,33 @@ def test_cli_solve_builds_profile_only_with_out(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_multistart(tmp_path, capsys):
-    doc = minimal_config(windows={"a1": 0.5, "a2": 2.0})
-    doc["system"] = {"n": 1, "g": ["1/(1+u)"]}
+    cases = (
+        ("1/(1+u)", {}, 2.0, 257),
+        # Dirichlet ends; the start at level 6 overflows exp and diverges
+        ("2*exp(u)", {"beta": 0, "delta": 0}, 6.0, 2049),
+    )
+    for g, kernel, a2, grid_size in cases:
+        doc = minimal_config(windows={"a1": 0.5, "a2": a2})
+        doc["kernel"].update(kernel)
+        doc["system"] = {"n": 1, "g": [g]}
+        doc["numerics"]["grid_size"] = grid_size
+        path = write_config(tmp_path, doc)
+        assert cli.main(["solve", "--config", path, "--multistart"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["solutions_found"] == 1
+
+
+def test_cli_check_and_solve_read_the_same_piecewise_g(tmp_path, capsys):
+    # the log in the second condition is undefined where the first one holds
+    doc = minimal_config(windows={"a1": 0.1, "a2": 4.0})
+    g = "piecewise((u <= 0, 1), (log(u) > 1, 2), (else, 1))"
+    doc["system"] = {"n": 1, "g": [g]}
     path = write_config(tmp_path, doc)
-    assert cli.main(["solve", "--config", path, "--multistart"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["solutions_found"] >= 1
+    assert cli.main(["check", "--config", path, "--which", "krasnoselskii"]) == 0
+    windows = json.loads(capsys.readouterr().out)["windows"]
+    assert [w["verdict"] for w in windows] == [True, True]
+    assert cli.main(["solve", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["trace"]["converged"]
 
 
 def test_cli_reproduce_reports_discrepancies(capsys):

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulus_radial.exprlang import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    Cond,
     ExprDomainError,
     ExprError,
     ExprSyntaxError,
+    Neg,
+    Num,
+    Piecewise,
     UnknownIdentifierError,
+    Var,
     parse,
     to_source,
 )
@@ -78,6 +88,7 @@ def test_unknown_identifier_rejected():
     "src,x",
     [
         ("1/u", 0.0),
+        ("1/u", 1e-320),  # overflows
         ("log(u)", -1.0),
         ("log(u)", 0.0),
         ("sqrt(u)", -2.0),
@@ -87,14 +98,42 @@ def test_unknown_identifier_rejected():
     ],
 )
 def test_domain_errors_are_structured(src, x):
-    with pytest.raises(ExprDomainError):
-        parse(src, "u").eval(x)
+    g = parse(src, "u")
+    with pytest.raises(ExprDomainError) as scalar:
+        g.eval(x)
+    with pytest.raises(ExprDomainError) as array:
+        g.eval_array(np.array([1.0, x, x]))
+    assert str(array.value) == str(scalar.value)
+    assert str(scalar.value).endswith(f" at x={x!r}")
 
 
 def test_array_domain_errors_match_scalar():
     g = parse("log(u)", "u")
-    with pytest.raises(ExprDomainError):
-        g.eval_array(np.array([1.0, 0.5, -1.0]))
+    with pytest.raises(ExprDomainError) as array:
+        g.eval_array(np.array([1.0, 0.5, -1.0, -2.0]))
+    with pytest.raises(ExprDomainError) as scalar:
+        g.eval(-1.0)
+    assert str(array.value) == str(scalar.value)
+    assert str(array.value) == "log of nonpositive value in 'log(u)' at x=-1.0"
+
+
+def test_piecewise_tests_each_condition_only_where_no_branch_took():
+    g = parse("piecewise((u <= 0, 1), (log(u) > 1, 2), (else, 1))", "u")
+    xs = np.linspace(-2.0, 5.0, 701)
+    arr = g.eval_array(xs)
+    assert np.array_equal(arr, [g.eval(float(x)) for x in xs])
+    assert np.array_equal(arr, np.where(xs > math.e, 2.0, 1.0))
+
+
+def test_eval_array_emits_no_runtime_warning():
+    g = parse("u*u + sin(u) + (u - u) + exp(-u)", "u")
+    x = np.array([1e200, np.inf, -np.inf, np.nan, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.eval_array(x)
+        with pytest.raises(ExprDomainError):
+            parse("1/u", "u").eval_array(np.array([1.0, 1e-320]))
+    assert out[0] == np.inf and np.isnan(out[1:4]).all()
 
 
 def test_eval_deterministic_bitwise():
@@ -159,3 +198,71 @@ def test_array_scalar_agreement_on_smooth_expressions():
         arr = e.eval_array(xs)
         scal = np.array([e.eval(float(x)) for x in xs])
         assert np.allclose(arr, scal, rtol=5e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# one set of rules: scalar and array evaluation of random trees
+# ---------------------------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.just(Var("u")),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0, 3.0, 1e300, 1e-300]).map(Num),
+    st.floats(-10.0, 10.0).map(Num),
+)
+
+
+def _grow(children):
+    conds = st.builds(Cond, st.sampled_from(["<", "<=", ">", ">=", "=="]),
+                      children, children)
+    branches = st.lists(st.tuples(conds, children), max_size=2)
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        st.builds(lambda bs, last: Piecewise((*bs, (None, last))), branches, children),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _grow, max_leaves=12)
+_POINTS = st.lists(
+    st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.e])),
+    min_size=1, max_size=8,
+)
+
+
+def _scalar(g, x):
+    try:
+        return g.eval(x), None
+    except ExprDomainError as exc:
+        return None, str(exc)
+
+
+def _exact_values(g) -> bool:
+    """Whether g holds no function and no power: then both paths run the
+    same IEEE operations."""
+    text = to_source(g)
+    return "^" not in text and not any(f"{name}(" in text for name in FUNCTIONS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, _POINTS)
+def test_scalar_and_array_paths_share_every_rule(g, points):
+    xs = np.array(points)
+    scalar = [_scalar(g, float(x)) for x in xs]
+    for x, (_, message) in zip(xs, scalar):
+        try:
+            g.eval_array(np.array([x]))
+        except ExprDomainError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None, message
+    try:
+        arr = g.eval_array(xs)
+    except ExprDomainError as exc:
+        # the first point that breaks the first broken rule, in node order
+        at = float(re.search(r" at x=(\S+)$", str(exc)).group(1))
+        assert str(exc) == _scalar(g, at)[1]
+        return
+    assert all(message is None for _, message in scalar)
+    if _exact_values(g):
+        assert np.array_equal(arr, [value for value, _ in scalar], equal_nan=True)

@@ -264,6 +264,37 @@ def test_multistart_finds_fixed_point(default_params, synthetic_unit_weight):
     assert len(found) == 1  # contraction: all starts collapse to one point
 
 
+def test_multistart_counts_an_overflowing_start_as_diverging(synthetic_unit_weight):
+    # u'' - u + 2 e^u = 0 with Dirichlet ends: Picard reaches only the lower
+    # of its two solutions, and from level 6 its iterates overflow exp
+    dirichlet = KernelParams(1.0, 0.0, 1.0, 0.0, 1.0, 3)
+    spec = ProblemSpec(n=1, g=(parse("2*exp(u)", "u"),), kernel=dirichlet,
+                       weights=synthetic_unit_weight, transform=TS, grid_size=2049)
+    with pytest.raises(EvaluationError, match="overflow in 'exp\\(u\\)'"):
+        picard_solve(spec, init=6.0)
+    found = multistart_solve(spec, [0.0, 0.5, 6.0])
+    assert len(found) == 1
+    # the shooting method gives max u = 0.28818 on [0, 1]
+    assert float(np.max(found[0][0].values)) == pytest.approx(0.288177, abs=1e-6)
+
+
+def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_weight):
+    seen = []
+
+    def g(v):
+        seen.append(v.dtype)
+        return 1.0 / (1.0 + v)
+
+    spec = ProblemSpec(n=1, g=(g,), kernel=default_params,
+                       weights=synthetic_unit_weight, transform=TS, grid_size=257)
+    u, _ = picard_solve(spec, tol=1e-12)
+    components = recover_components(spec, u, extended_precision=True)
+    assert components[0].values.dtype == np.longdouble
+    seen.clear()
+    worst_defects(spec, components)
+    assert seen and set(seen) == {np.dtype(float)}
+
+
 def test_problem_spec_validation(default_params, synthetic_unit_weight):
     with pytest.raises(ValueError):
         ProblemSpec(n=0, g=(), kernel=default_params,
