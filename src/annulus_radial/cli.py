@@ -34,7 +34,7 @@ from .conditions import (
     contraction_constants,
 )
 from .config import AppConfig, ConfigError, load_config
-from .exprlang import ExprError
+from .exprlang import ExprDomainError, ExprError
 from .kernel import (
     DegenerateParametersError,
     cone_floor,
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.which, out)
         return cmd_solve(cfg, args.init, args.multistart, out)
-    except (EvaluationError, CycleConsistencyError) as exc:
+    except (EvaluationError, CycleConsistencyError, ExprDomainError) as exc:
         # raised while running a config that loaded: load_config only parses
         # expressions, it never evaluates them
         sys.stderr.write(f"error: {exc}\n")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import GridFunction
 from .kernel import DegenerateParametersError, KernelParams, varrho
@@ -36,7 +35,11 @@ class LinearBVP:
 
 
 def build_system(bvp: LinearBVP) -> tuple:
-    """Banded matrix (scipy solve_banded layout), rhs vector, and nodes.
+    """Banded matrix, rhs vector, and nodes.
+
+    The matrix is stored by diagonals (LAPACK band layout): row 0 holds the
+    superdiagonal in columns 1.., row 1 the diagonal, row 2 the subdiagonal
+    in columns ..m-2.
 
     Interior rows are the plain 3-point stencil; boundary rows eliminate the
     ghost value through the Robin condition, which keeps them second order.
@@ -76,13 +79,44 @@ def build_system(bvp: LinearBVP) -> tuple:
     return ab, b, x
 
 
+def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tridiagonal elimination in Python floats, in LAPACK dgtsv's order.
+
+    A row is swapped with the next when its pivot is the smaller entry, as
+    dgtsv does: a Dirichlet row (diagonal 1) and a Robin end row (subdiagonal
+    -2/h^2) both meet such a pivot.  The swap fills a second superdiagonal,
+    kept in the spent subdiagonal slot.  Every other row is diagonally
+    dominant, so no pivot vanishes.
+    """
+    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
+    u = b.tolist()
+    last = len(d) - 2
+    for i in range(last + 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            u[i + 1] -= fact * u[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < last:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            u[i], u[i + 1] = u[i + 1], u[i] - fact * u[i + 1]
+    u[-1] /= d[-1]
+    u[-2] = (u[-2] - du[-1] * u[-1]) / d[-2]
+    for i in range(last - 1, -1, -1):
+        u[i] = (u[i] - du[i] * u[i + 1] - dl[i] * u[i + 2]) / d[i]
+    return np.array(u)
+
+
 def solve_linear_fd(bvp: LinearBVP) -> GridFunction:
     """Solve the tridiagonal system; unique solution as a GridFunction."""
     if varrho(bvp.params) == 0.0:  # raises DegenerateParametersError on zero
         raise DegenerateParametersError("singular boundary problem")
     ab, b, x = build_system(bvp)
-    u = solve_banded((1, 1), ab, b)
-    return GridFunction(x, u)
+    return GridFunction(x, _tridiagonal_solve(ab, b))
 
 
 def _green_representation(params: KernelParams, s_nodes: np.ndarray, rhs: Callable,

@@ -6,6 +6,7 @@ from conftest import count_calls, row_by_row_profile_csv, use_per_call_route
 
 from annulus_radial import cli, conditions
 from annulus_radial.config import ConfigError, config_from_dict, load_config
+from annulus_radial.exprlang import ExprDomainError
 from annulus_radial.kernel import cone_floor, wp
 from annulus_radial.reproduce import EXAMPLE_IDS, example_config
 from annulus_radial.solver import CycleConsistencyError, picard_solve, recover_components
@@ -337,6 +338,37 @@ def test_cli_constants_and_check_evaluation_error_is_exit_3(tmp_path, capsys, ar
     path = write_config(tmp_path, doc)
     assert cli.main([argv[0], "--config", path, *argv[1:]]) == 3
     assert "integrand failed" in capsys.readouterr().err
+
+
+_LOG_AT_ZERO = "log of nonpositive value in 'log(u)' at x=0.0"
+
+
+def test_cli_check_window_domain_error_is_exit_3(tmp_path, capsys):
+    # log(u) parses, so the config is valid; the windows evaluate it at u = 0
+    doc = minimal_config(windows={"a1": 0.5, "a2": 2.0})
+    doc["system"] = {"n": 1, "g": ["log(u)"]}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["check", "--config", path, "--which", "krasnoselskii"]) == 3
+    assert capsys.readouterr().err == f"error: {_LOG_AT_ZERO}\n"
+
+
+@pytest.mark.parametrize("command, stage, code",
+                         [("constants", "compute_constants", 3), ("solve", "picard_solve", 4)])
+def test_cli_runtime_domain_error_exit_code(tmp_path, capsys, monkeypatch, command, stage, code):
+    def fails(*args, **kwargs):
+        raise ExprDomainError(_LOG_AT_ZERO)
+
+    monkeypatch.setattr(cli, stage, fails)
+    assert cli.main([command, "--config", write_config(tmp_path, minimal_config())]) == code
+    assert capsys.readouterr().err == f"error: {_LOG_AT_ZERO}\n"
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["check", "--which", "krasnoselskii"], ["solve"]])
+def test_cli_expression_parse_error_is_exit_2(tmp_path, capsys, argv):
+    doc = minimal_config(windows={"a1": 0.5, "a2": 2.0})
+    doc["system"] = {"n": 1, "g": ["log(u"]}
+    path = write_config(tmp_path, doc)
+    assert cli.main([argv[0], "--config", path, *argv[1:]]) == 2
 
 
 def test_cli_solve_builds_profile_only_with_out(tmp_path, capsys, monkeypatch):

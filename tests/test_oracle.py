@@ -78,3 +78,44 @@ def test_maximum_principle_nonnegative_rhs(default_params):
 def test_grid_size_floor():
     with pytest.raises(ValueError):
         LinearBVP(KernelParams.default(), lambda t: t, 8)
+
+
+def _dense(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+@pytest.mark.parametrize("m", [16, 257, 4097])
+@pytest.mark.parametrize("robin", [True, False], ids=["robin", "dirichlet"])
+def test_tridiagonal_solve_matches_dense_solve(m, robin):
+    ends = 1.0 if robin else 0.0  # beta = delta = 0 gives Dirichlet rows
+    bvp = LinearBVP(KernelParams(1.0, ends, 1.0, ends, 1.3, 3),
+                    lambda t: np.sin(3.0 * t) + 1.0, m)
+    ab, rhs, _ = build_system(bvp)
+    A = _dense(ab)
+    u = solve_linear_fd(bvp).values
+    eps = np.finfo(float).eps
+    # a stable elimination leaves a residual of a few ulps of |A| |u|
+    scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(u)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(A @ u - rhs)) <= 2.0 * eps * scale
+    # A is an M-matrix (positive diagonal, nonpositive off-diagonal, strictly
+    # diagonally dominant rows), so |A^-1|_inf = max(A^-1 1) comes from the
+    # same dense solve
+    dense, inv_ones = np.linalg.solve(A, np.stack([rhs, np.ones(m)], axis=1)).T
+    gap = np.max(np.abs(u - dense)) / np.max(np.abs(dense))
+    if robin:
+        assert gap <= 1e-12
+    else:
+        # the unit Dirichlet row makes A ill-conditioned, and two pivoted
+        # eliminations then agree only to about cond(A) eps
+        kappa = np.max(np.abs(A).sum(axis=1)) * np.max(inv_ones)
+        assert gap <= max(1e-12, kappa * eps)
+
+
+def test_tridiagonal_solve_reproduces_lapack_banded_solve():
+    linalg = pytest.importorskip("scipy.linalg")
+    for _ in range(20):
+        a, b, g, d = RNG.uniform(0.1, 10.0, size=4) * (RNG.random(4) > 0.3)
+        p = KernelParams(a + 0.1, b, g + 0.1, d, RNG.uniform(0.1, 20.0), 3)
+        bvp = LinearBVP(p, lambda t: np.cos(7.0 * t) + 0.5, int(RNG.integers(16, 2000)))
+        ab, rhs, _ = build_system(bvp)
+        assert np.array_equal(solve_linear_fd(bvp).values, linalg.solve_banded((1, 1), ab, rhs))

@@ -5,10 +5,12 @@ import pytest
 
 from conftest import composite_simpson, riemann_midpoint
 
+from annulus_radial import quadrature
 from annulus_radial.kernel import kernel_diag
 from annulus_radial.quadrature import (
     CONVERGED,
     CUTOFF_LIMITED,
+    DEFAULT_CUTOFFS,
     DIVERGENT,
     EvaluationError,
     endpoint_infimum,
@@ -160,3 +162,91 @@ def test_cutoff_validation():
         integrate(lambda t: t, cutoffs=[0.5, 0.5])
     with pytest.raises(ValueError):
         integrate(lambda t: t, cutoffs=[1.5])
+
+
+# ---------------------------------------------------------------------------
+# the graded Gauss-Legendre panel rule against closed forms
+# ---------------------------------------------------------------------------
+
+LADDER = [1.0, *DEFAULT_CUTOFFS]
+RUNGS = list(zip(LADDER[1:], LADDER[:-1]))  # (a, b), top rung first
+
+
+def _power_antiderivative(a):
+    if a == -1.0:
+        return math.log
+    return lambda t: t ** (a + 1.0) / (a + 1.0)
+
+
+def _power_log_antiderivative(a):
+    if a == -1.0:
+        return lambda t: 0.5 * math.log(t) ** 2
+    return lambda t: t ** (a + 1.0) * (math.log(t) / (a + 1.0) - 1.0 / (a + 1.0) ** 2)
+
+
+@pytest.mark.parametrize("a", [-6.0, -4.0, -2.0, -1.0, -0.5, 0.0, 2.5])
+def test_panel_rule_power_on_every_rung(a):
+    values, errors = quadrature._panels(lambda t: t**a, LADDER, 1e-10)
+    F = _power_antiderivative(a)
+    for (lo, hi), v, e in zip(RUNGS, values, errors):
+        exact = F(hi) - F(lo)
+        assert abs(v - exact) <= 1e-13 * abs(exact)
+        assert e <= max(1e-12, 1e-13 * abs(exact))
+
+
+@pytest.mark.parametrize("a", [-2.0, -1.0, -0.5, 1.5])
+def test_panel_rule_power_times_log(a):
+    values, _ = quadrature._panels(lambda t: t**a * np.log(t), LADDER, 1e-10)
+    F = _power_log_antiderivative(a)
+    for (lo, hi), v in zip(RUNGS, values):
+        exact = F(hi) - F(lo)
+        assert abs(v - exact) <= 1e-13 * abs(exact)
+
+
+def test_panel_rule_oscillatory():
+    values, _ = quadrature._panels(lambda t: np.cos(40.0 * t), LADDER, 1e-10)
+    for (lo, hi), v in zip(RUNGS, values):
+        exact = (math.sin(40.0 * hi) - math.sin(40.0 * lo)) / 40.0
+        assert abs(v - exact) <= 1e-12  # epsabs = 1e-2 tol
+    res = integrate(lambda t: np.cos(40.0 * t), tol=1e-10)
+    assert res.status == CONVERGED
+    assert res.value == pytest.approx(math.sin(40.0) / 40.0, abs=1e-12)
+
+
+def test_scalar_only_callable_matches_its_array_twin():
+    seen = []
+
+    def scalar(t):
+        seen.append(type(t))
+        return math.exp(-t) * math.cos(3.0 * t) * t**-0.5
+
+    def vector(t):
+        return np.exp(-t) * np.cos(3.0 * t) * t**-0.5
+
+    slow, fast = integrate(scalar, tol=1e-10), integrate(vector, tol=1e-10)
+    # one refused array call, then Python floats only
+    assert seen[0] is np.ndarray and set(seen[1:]) == {float}
+    assert slow.status == fast.status
+    assert slow.value == pytest.approx(fast.value, rel=1e-14)
+    for (e1, v1), (e2, v2) in zip(slow.cutoff_trace, fast.cutoff_trace):
+        assert e1 == e2 and v1 == pytest.approx(v2, rel=1e-14)
+    # a callable that answers an array with a scalar goes point by point too
+    assert integrate(lambda t: 2.0, tol=1e-10).value == pytest.approx(2.0, rel=1e-14)
+
+
+def test_non_integrable_spike_stops_at_the_subinterval_cap():
+    points = []
+
+    def spike(t):
+        points.append(t.size)
+        return np.abs(t - 0.3) ** -1.5
+
+    values, errors = quadrature._panels(spike, [1.0, 0.01], 1e-10)
+    # each split evaluates two children: 2 * 200 - 1 subintervals in all
+    nodes = 30  # a 10- and a 20-point rule per subinterval
+    assert sum(points) == (2 * quadrature._MAX_SUBINTERVALS - 1) * nodes
+    assert math.isfinite(values[0]) and math.isfinite(errors[0])
+    assert errors[0] > 1e-12
+    res = integrate(lambda t: np.abs(t - 0.3) ** -1.5, tol=1e-10)
+    assert res.status != CONVERGED
+    assert math.isfinite(res.abs_error_estimate)
