@@ -146,12 +146,18 @@ def _entries(p: KernelParams, lo, hi):
     )
 
 
-def kernel_eval(p: KernelParams, s: float, t: float) -> float:
-    """Kernel value at (s, t) in [0,1]^2; symmetric by the min/max form."""
-    if not (0.0 <= s <= 1.0) or not (0.0 <= t <= 1.0):
-        raise DomainError(f"kernel arguments must lie in [0,1], got ({s}, {t})")
-    lo, hi = (s, t) if s <= t else (t, s)
-    return float(_entries(p, lo, hi))
+def kernel_eval(p: KernelParams, s, t):
+    """Kernel value at (s, t) in [0,1]^2, broadcast over arrays; a float for
+    scalar input.  Symmetric by the min/max form."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    bad = ~((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0))  # True at NaN
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        s_k, t_k = (float(a[k]) for a in np.broadcast_arrays(s, t))
+        raise DomainError(f"kernel arguments must lie in [0,1], got ({s_k}, {t_k})")
+    value = _entries(p, np.minimum(s, t), np.maximum(s, t))
+    return float(value) if value.ndim == 0 else value
 
 
 def kernel_diag(p: KernelParams, t):
@@ -170,11 +176,7 @@ def kernel_matrix(p: KernelParams, s_nodes, t_nodes=None) -> np.ndarray:
     """
     s = np.asarray(s_nodes, dtype=float)
     t = s if t_nodes is None else np.asarray(t_nodes, dtype=float)
-    if (s < 0).any() or (s > 1).any() or (t < 0).any() or (t > 1).any():
-        raise DomainError("grid nodes must lie in [0,1]")
-    S = s[:, None]
-    T = t[None, :]
-    return _entries(p, np.minimum(S, T), np.maximum(S, T))
+    return kernel_eval(p, s[:, None], t[None, :])
 
 
 def _boundary_ratios(p: KernelParams) -> tuple:

@@ -1,10 +1,10 @@
 """Independent finite-difference solver for -u'' + r0^2 u = f, Robin ends.
 
 Central differences with ghost-point elimination at the two Robin boundaries
-keep the scheme second order everywhere.  The solve path never touches the
+keep the scheme second order everywhere.  The solve path calls no
 Green's-kernel code; it exists to validate that code, so independence is the
-point.  green_consistency is the comparison harness and is the only place
-here that imports the kernel.
+point.  green_consistency is the comparison harness and the only place here
+that evaluates the kernel.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridFunction
-from .kernel import DegenerateParametersError, KernelParams, varrho
+from .kernel import KernelParams, kernel_eval
 
 __all__ = ["LinearBVP", "solve_linear_fd", "build_system", "green_consistency"]
+
+_N_GAUSS = 64  # Gauss-Legendre points per panel of the Green representation
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,10 @@ def build_system(bvp: LinearBVP) -> tuple:
     superdiagonal in columns 1.., row 1 the diagonal, row 2 the subdiagonal
     in columns ..m-2.
 
-    Interior rows are the plain 3-point stencil; boundary rows eliminate the
-    ghost value through the Robin condition, which keeps them second order.
+    Interior rows are the plain 3-point stencil.  A Robin end row eliminates
+    the ghost value through the boundary condition, which keeps it second
+    order, and is halved so its off-diagonal is -1/h^2 like every other row's;
+    a Dirichlet end is the row (2/h^2) u = 0.
     """
     p = bvp.params
     m = bvp.grid_size
@@ -58,19 +62,19 @@ def build_system(bvp: LinearBVP) -> tuple:
     b = f.copy()
 
     if p.beta == 0.0:
-        diag[0] = 1.0
+        diag[0] = 2.0 / h**2
         upper[0] = 0.0
         b[0] = 0.0
     else:
-        diag[0] = 2.0 / h**2 + 2.0 * p.alpha / (p.beta * h) + p.r0**2
-        upper[0] = -2.0 / h**2
+        diag[0] = 1.0 / h**2 + p.alpha / (p.beta * h) + 0.5 * p.r0**2
+        b[0] *= 0.5
     if p.delta == 0.0:
-        diag[-1] = 1.0
+        diag[-1] = 2.0 / h**2
         lower[-1] = 0.0
         b[-1] = 0.0
     else:
-        diag[-1] = 2.0 / h**2 + 2.0 * p.gamma / (p.delta * h) + p.r0**2
-        lower[-1] = -2.0 / h**2
+        diag[-1] = 1.0 / h**2 + p.gamma / (p.delta * h) + 0.5 * p.r0**2
+        b[-1] *= 0.5
 
     ab = np.zeros((3, m))
     ab[0, 1:] = upper[:-1]
@@ -80,63 +84,43 @@ def build_system(bvp: LinearBVP) -> tuple:
 
 
 def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal elimination in Python floats, in LAPACK dgtsv's order.
+    """Thomas elimination in Python floats.
 
-    A row is swapped with the next when its pivot is the smaller entry, as
-    dgtsv does: a Dirichlet row (diagonal 1) and a Robin end row (subdiagonal
-    -2/h^2) both meet such a pivot.  The swap fills a second superdiagonal,
-    kept in the spent subdiagonal slot.  Every other row is diagonally
-    dominant, so no pivot vanishes.
+    Every pivot of build_system's matrix is at least 1/h^2, the size of the
+    subdiagonal entry below it, so LAPACK's dgtsv swaps no row either and
+    this sweep repeats its arithmetic step for step.
     """
     du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
     u = b.tolist()
-    last = len(d) - 2
-    for i in range(last + 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            u[i + 1] -= fact * u[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            if i < last:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            u[i], u[i + 1] = u[i + 1], u[i] - fact * u[i + 1]
+    for i in range(len(dl)):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        u[i + 1] -= fact * u[i]
     u[-1] /= d[-1]
-    u[-2] = (u[-2] - du[-1] * u[-1]) / d[-2]
-    for i in range(last - 1, -1, -1):
-        u[i] = (u[i] - du[i] * u[i + 1] - dl[i] * u[i + 2]) / d[i]
+    for i in range(len(du) - 1, -1, -1):
+        u[i] = (u[i] - du[i] * u[i + 1]) / d[i]
     return np.array(u)
 
 
 def solve_linear_fd(bvp: LinearBVP) -> GridFunction:
     """Solve the tridiagonal system; unique solution as a GridFunction."""
-    if varrho(bvp.params) == 0.0:  # raises DegenerateParametersError on zero
-        raise DegenerateParametersError("singular boundary problem")
     ab, b, x = build_system(bvp)
     return GridFunction(x, _tridiagonal_solve(ab, b))
 
 
-def _green_representation(params: KernelParams, s_nodes: np.ndarray, rhs: Callable,
-                          n_gauss: int = 64) -> np.ndarray:
-    """integral of Xi(s, t) rhs(t) dt per node, split at the t = s kink."""
-    from .kernel import kernel_matrix  # comparison harness; FD path stays clean
-
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-    out = np.empty_like(s_nodes)
-    for i, s in enumerate(s_nodes):
-        total = 0.0
-        for a, b in ((0.0, float(s)), (float(s), 1.0)):
-            if b <= a:
-                continue
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            t = mid + half * xg
-            row = kernel_matrix(params, np.array([s]), t)[0]
-            total += half * float(np.sum(wg * row * np.asarray(rhs(t), dtype=float)))
-        out[i] = total
+def _green_representation(params: KernelParams, s_nodes: np.ndarray,
+                          rhs: Callable) -> np.ndarray:
+    """integral of Xi(s, t) rhs(t) dt per node, split at the t = s kink; each
+    panel of all nodes is one array (a zero-width one adds an exact 0)."""
+    xg, wg = np.polynomial.legendre.leggauss(_N_GAUSS)
+    s = np.asarray(s_nodes, dtype=float)[:, None]
+    out = np.zeros(s.shape[0])
+    for a, b in ((0.0, s), (s, 1.0)):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        t = mid + half * xg
+        vals = wg * kernel_eval(params, s, t) * np.asarray(rhs(t), dtype=float)
+        out += half[:, 0] * np.sum(vals, axis=1)
     return out
 
 

@@ -69,6 +69,26 @@ def dense_bound_report(p, grid_size, tol=1e-12):
     )
 
 
+def per_node_green_representation(params, s_nodes, rhs, n_gauss=64):
+    """The Green representation one node and one panel at a time, skipping
+    a zero-width panel: the reference route for the one-pass
+    oracle._green_representation."""
+    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+    out = np.empty_like(s_nodes)
+    for i, s in enumerate(s_nodes):
+        total = 0.0
+        for a, b in ((0.0, float(s)), (float(s), 1.0)):
+            if b <= a:
+                continue
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            t = mid + half * xg
+            row = kernel_matrix(params, np.array([s]), t)[0]
+            total += half * float(np.sum(wg * row * np.asarray(rhs(t), dtype=float)))
+        out[i] = total
+    return out
+
+
 def whole_array_fold(asm, c):
     """The separable kernel fold as one whole-array cumsum each way: the
     reference route for the blocked solver._Assembled.kernel_fold."""

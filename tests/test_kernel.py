@@ -86,6 +86,35 @@ def test_kernel_domain_errors(default_params):
         kernel_eval(default_params, 0.5, 1.2)
 
 
+def test_kernel_eval_broadcasts_like_scalar_calls(asym_params):
+    rng = np.random.default_rng(61)
+    sets = [KernelParams(*rng.uniform(0.1, 10.0, size=4), rng.uniform(0.1, 50.0), 3)
+            for _ in range(4)]
+    for p in (asym_params, KernelParams(1.0, 0.0, 2.0, 0.0, 3.0, 3), *sets):
+        s = np.concatenate([[0.0, 1.0, 0.5], rng.random(20)])
+        t = np.concatenate([[1.0, 0.0, 0.5], rng.random(20)])
+        pairwise = kernel_eval(p, s, t)
+        assert np.array_equal(pairwise, [kernel_eval(p, float(a), float(b))
+                                         for a, b in zip(s, t)])
+        outer = kernel_eval(p, s[:, None], t[None, :])
+        assert np.array_equal(outer, kernel_matrix(p, s, t))
+        assert type(kernel_eval(p, 0.25, 0.75)) is float
+
+
+def test_kernel_domain_error_names_the_first_bad_pair(default_params):
+    s = np.array([0.2, 0.4, -0.5, 2.0])
+    with pytest.raises(DomainError, match=r"got \(-0\.5, 0\.3\)"):
+        kernel_eval(default_params, s, 0.3)
+    # the first in row-major order of the broadcast shape
+    with pytest.raises(DomainError, match=r"got \(0\.2, 1\.5\)"):
+        kernel_eval(default_params, s[:2, None], np.array([0.1, 1.5]))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            kernel_eval(default_params, 0.5, bad)
+        with pytest.raises(DomainError):
+            kernel_matrix(default_params, np.array([0.0, bad, 1.0]))
+
+
 def test_wp_values(default_params):
     assert wp(default_params) == pytest.approx(1.0 / math.e, abs=1e-12)
     assert wp(KernelParams(1.0, 0.0, 1.0, 0.0, 1.0, 3)) == 0.0

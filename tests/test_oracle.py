@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from conftest import per_node_green_representation
 
-from annulus_radial.kernel import KernelParams
-from annulus_radial.oracle import LinearBVP, build_system, green_consistency, solve_linear_fd
+from annulus_radial.kernel import KernelParams, varrho
+from annulus_radial.oracle import (
+    LinearBVP,
+    _green_representation,
+    build_system,
+    green_consistency,
+    solve_linear_fd,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -55,8 +62,12 @@ def test_green_consistency_random_params_sine():
 
 
 def test_rows_diagonally_dominant():
-    for _ in range(10):
+    for k in range(10):
         a, b, g, d = RNG.uniform(0.1, 10.0, size=4)
+        if k % 3 == 1:
+            b = 0.0  # Dirichlet left end
+        elif k % 3 == 2:
+            d = 0.0  # Dirichlet right end
         p = KernelParams(a, b, g, d, RNG.uniform(0.1, 5.0), 3)
         ab, rhs, x = build_system(LinearBVP(p, lambda t: np.ones_like(t), 65))
         upper, diag, lower = ab
@@ -97,18 +108,81 @@ def test_tridiagonal_solve_matches_dense_solve(m, robin):
     # a stable elimination leaves a residual of a few ulps of |A| |u|
     scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(u)) + np.max(np.abs(rhs))
     assert np.max(np.abs(A @ u - rhs)) <= 2.0 * eps * scale
-    # A is an M-matrix (positive diagonal, nonpositive off-diagonal, strictly
-    # diagonally dominant rows), so |A^-1|_inf = max(A^-1 1) comes from the
-    # same dense solve
-    dense, inv_ones = np.linalg.solve(A, np.stack([rhs, np.ones(m)], axis=1)).T
-    gap = np.max(np.abs(u - dense)) / np.max(np.abs(dense))
-    if robin:
-        assert gap <= 1e-12
-    else:
-        # the unit Dirichlet row makes A ill-conditioned, and two pivoted
-        # eliminations then agree only to about cond(A) eps
-        kappa = np.max(np.abs(A).sum(axis=1)) * np.max(inv_ones)
-        assert gap <= max(1e-12, kappa * eps)
+    dense = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(u - dense)) / np.max(np.abs(dense)) <= 1e-12
+    if not robin:
+        assert u[0] == 0.0 and u[-1] == 0.0
+
+
+def _pivots(ab):
+    """Pivots of tridiagonal elimination without row swaps."""
+    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
+    for i in range(len(dl)):
+        d[i + 1] -= dl[i] / d[i] * du[i]
+    return np.array(d)
+
+
+def test_elimination_needs_no_row_swap():
+    # LAPACK's dgtsv swaps a row only when its pivot is smaller than the
+    # subdiagonal entry below it; this holds off every swap, so the plain
+    # sweep keeps dgtsv's arithmetic where scipy is not there to compare
+    rng = np.random.default_rng(41)
+    for k in range(40):
+        a, b, g, d = rng.uniform(0.1, 10.0, size=4)
+        if k % 3 == 0:
+            a = 0.0
+        elif k % 3 == 1:
+            g = 0.0
+        elif k % 2:
+            b = 0.0
+        else:
+            d = 0.0
+        r0 = float(np.exp(rng.uniform(np.log(1e-6), np.log(50.0))))
+        m = int(rng.integers(16, 4098))
+        ab, _, _ = build_system(LinearBVP(KernelParams(a, b, g, d, r0, 3),
+                                          lambda t: np.ones_like(t), m))
+        pivots = _pivots(ab)
+        assert (np.abs(pivots[:-1]) >= np.abs(ab[2, :-1])).all(), (k, a, b, g, d, r0, m)
+        assert (pivots > 0.0).all()
+
+
+@pytest.mark.parametrize("ends", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
+                         ids=["robin", "dirichlet-left", "dirichlet-right", "dirichlet"])
+def test_green_representation_matches_per_node_route(ends):
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        a, b, g, d = rng.uniform(0.1, 5.0, size=4)
+        p = KernelParams(a, b * ends[0], g, d * ends[1], rng.uniform(0.1, 20.0), 3)
+        A, B, w = rng.uniform(-2.0, 2.0, size=3)
+        rhs = lambda t: A + B * np.sin(w * np.asarray(t, dtype=float))
+        # the grid's first and last nodes are s = 0 and s = 1, where one
+        # panel has zero width
+        nodes = np.linspace(0.0, 1.0, int(rng.integers(16, 300)))
+        got = _green_representation(p, nodes, rhs)
+        assert np.array_equal(got, per_node_green_representation(p, nodes, rhs))
+
+
+def test_green_representation_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    p = KernelParams(2.0, 1.0, 1.0, 3.0, 1.5, 3)
+    rhs = lambda t: 1.0 + np.sin(3.0 * np.asarray(t, dtype=float))
+    nodes = np.array([0.0, 0.125, 0.5, 0.8, 1.0])
+    got = _green_representation(p, nodes, rhs)
+    with mp.workdps(30):
+        r0 = mp.mpf(p.r0)
+        rho = (r0**2 * (p.alpha * p.delta + p.beta * p.gamma) * mp.cosh(r0)
+               + r0 * (p.alpha * p.gamma + p.beta * p.delta * r0**2) * mp.sinh(r0))
+        assert float(rho) == pytest.approx(varrho(p), rel=1e-14)
+        phi_mp = lambda x: p.alpha * mp.sinh(r0 * x) + p.beta * r0 * mp.cosh(r0 * x)
+        psi_mp = lambda x: (p.gamma * mp.sinh(r0 * (1 - x))
+                            + p.delta * r0 * mp.cosh(r0 * (1 - x)))
+        f = lambda t: 1 + mp.sin(3 * t)
+        for s, value in zip(nodes, got):
+            s = mp.mpf(float(s))
+            below = mp.quad(lambda t: phi_mp(t) * f(t), [0, s]) if s > 0 else 0
+            above = mp.quad(lambda t: psi_mp(t) * f(t), [s, 1]) if s < 1 else 0
+            exact = (psi_mp(s) * below + phi_mp(s) * above) / rho
+            assert value == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_tridiagonal_solve_reproduces_lapack_banded_solve():
