@@ -2,10 +2,14 @@
 
 Twelve scalar constants are built from four ingredients: the integral of the
 diagonal-weighted kernel, its L^q and L^inf norms, the product of factor
-L^p norms, and the product of factor infima.  Several constants are defined
-as reciprocals; a reciprocal is only taken when every ingredient integral
-converged, otherwise the constant carries the ingredient's status instead of
-a number (a divergent integral must never silently become a digit string).
+L^p norms, and the product of factor infima.  The prefactor, the singular
+power and the factors come from weights.weight_bundle, the one place the
+weight is composed (a synthetic weight is the single factor omega with
+prefactor 1 and power 0); a factor weight's transform must agree with the
+kernel on r0 and N.  Several constants are defined as reciprocals; a
+reciprocal is only taken when every ingredient integral converged, otherwise
+the constant carries the ingredient's status instead of a number (a
+divergent integral must never silently become a digit string).
 
 Window checks sample a nonlinearity over a stated u-interval (stratified
 grid plus golden-section refinement around the best candidates), compare the
@@ -43,7 +47,7 @@ from .quadrature import (
     integrate,
     p_norm,
 )
-from .weights import TransformSpec, WeightSpec, transformed_factor, upsilon, xi_hat
+from .weights import TransformSpec, WeightSpec, upsilon, weight_bundle
 
 __all__ = [
     "ConjugateExponentError",
@@ -164,13 +168,21 @@ def _reciprocal(name, bracket: ConstantValue, note="") -> ConstantValue:
     )
 
 
-def _raw_factors(ws: WeightSpec, ts: TransformSpec) -> list:
-    if ws.synthetic:
-        return [lambda t: np.asarray(ws.synthetic_override(np.asarray(t, dtype=float)))]
-    return [
-        (lambda t, _i=i: transformed_factor(ws, _i, t, ts))
-        for i in range(len(ws.factors))
-    ]
+def _over_factors(factors, exponents, tol, cutoffs) -> tuple:
+    """Product over the factors of p_norm(f, p), or of the endpoint infimum
+    where p is None, with the statuses and each factor's result by name."""
+    value = 1.0
+    statuses = []
+    details = {}
+    for i, (f, p) in enumerate(zip(factors, exponents)):
+        if p is None:
+            res, key = endpoint_infimum(f, tol=tol, cutoffs=cutoffs), "inf"
+        else:
+            res, key = p_norm(f, p, tol=tol, cutoffs=cutoffs), f"p{p:g}"
+        value *= res.value
+        statuses.append(res.status)
+        details[f"factor_{i + 1}_{key}"] = res.to_dict()
+    return value, statuses, details
 
 
 def star_product(
@@ -188,18 +200,12 @@ def star_product(
             CONVERGED,
             "declared per-factor lower bounds",
         )
-    value = 1.0
-    statuses = []
-    details = {}
-    for i, f in enumerate(_raw_factors(ws, ts)):
-        res = endpoint_infimum(f, tol=tol, cutoffs=cutoffs)
-        value *= res.value
-        statuses.append(res.status)
-        details[f"factor_{i + 1}_inf"] = res.to_dict()
+    factors = weight_bundle(ws, ts)[2]
+    value, statuses, details = _over_factors(factors, [None] * len(factors), tol, cutoffs)
     return ConstantValue(
         "star_product",
         value,
-        _worst(*statuses) if statuses else CONVERGED,
+        _worst(*statuses),
         "numeric infima over the cutoff ladder",
         details,
     )
@@ -215,47 +221,33 @@ def compute_constants(
 ) -> ConstantsSet:
     """All twelve constants with statuses and ingredient provenance.
 
-    q is the Holder partner of the factor exponents; the conjugacy identity
-    is validated up front and violations raise ConjugateExponentError.
+    q is the Holder partner of the factor exponents (a synthetic weight's
+    single factor takes q/(q-1)); the conjugacy identity is validated up
+    front and violations raise ConjugateExponentError.
     """
     if not q > 1:
         raise ConjugateExponentError("q must exceed 1")
-    if ws.synthetic:
-        p_list = (q / (q - 1.0),)  # natural two-factor split of Xi * omega
-    else:
-        p_list = tuple(ws.p_exponents)
-        if not holder_conjugate_check(p_list, q):
-            s = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
-            raise ConjugateExponentError(
-                f"sum(1/p_i) + 1/q = {s + 1.0 / q:.6f}, expected 1"
-            )
+    p_list = tuple(ws.p_exponents) or (q / (q - 1.0),)
+    if not holder_conjugate_check(p_list, q):
+        s = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
+        raise ConjugateExponentError(
+            f"sum(1/p_i) + 1/q = {s + 1.0 / q:.6f}, expected 1"
+        )
 
-    pref = 1.0 if ws.synthetic else params.r0 ** 2 / (params.N - 2.0) ** 2
+    pref, power, factors = weight_bundle(ws, ts, params)
     w = kernel_wp(params)
 
-    if ws.synthetic:
-        hhat: Callable = lambda t: kernel_diag(params, t)
-    else:
-        hhat = lambda t: xi_hat(t, params)
-    raw_factors = _raw_factors(ws, ts)
+    def hhat(t):
+        return kernel_diag(params, t) * t ** power
 
     integral_hat = integrate(hhat, tol=tol, cutoffs=cutoffs)
     norm_q = p_norm(hhat, q, tol=tol, cutoffs=cutoffs)
     norm_inf = p_norm(hhat, math.inf, tol=tol, cutoffs=cutoffs)
 
-    def _norm_product(exponents) -> tuple:
-        value = 1.0
-        statuses = []
-        details = {}
-        for i, (f, pe) in enumerate(zip(raw_factors, exponents)):
-            res = p_norm(f, pe, tol=tol, cutoffs=cutoffs)
-            value *= res.value
-            statuses.append(res.status)
-            details[f"factor_{i + 1}_p{pe:g}"] = res.to_dict()
-        return value, statuses, details
-
-    norm_p_prod, norm_p_stats, norm_p_detail = _norm_product(p_list)
-    norm_1_prod, norm_1_stats, norm_1_detail = _norm_product([1.0] * len(raw_factors))
+    norm_p_prod, norm_p_stats, norm_p_detail = _over_factors(factors, p_list, tol, cutoffs)
+    norm_1_prod, norm_1_stats, norm_1_detail = _over_factors(
+        factors, [1.0] * len(factors), tol, cutoffs
+    )
 
     star = star_product(ws, ts, tol=tol, cutoffs=cutoffs)
 
@@ -445,14 +437,12 @@ class _Planned:
     def mode(self) -> str:
         return "max" if self.direction in ("<=", "<") else "min"
 
-    def same_extremum(self, other: "_Planned") -> bool:
-        """Whether other asks for this window's extremum: expression trees
-        compare by value, any other callable by identity."""
-        if (self.lo, self.hi, self.mode) != (other.lo, other.hi, other.mode):
-            return False
-        if isinstance(self.g, Expr) and isinstance(other.g, Expr):
-            return self.g == other.g
-        return self.g is other.g
+    @property
+    def window(self) -> tuple:
+        """The key of this window's extremum: expression trees compare by
+        value, any other callable by identity."""
+        g = self.g if isinstance(self.g, Expr) else id(self.g)
+        return g, self.lo, self.hi, self.mode
 
 
 def _verdict(w: _Planned, worst: float, point: float) -> WindowCheck:
@@ -479,17 +469,15 @@ def _judge(plans: Sequence[list], samples: int) -> list:
     evaluation is the one a window-by-window pass would hit."""
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    done: list = []  # (planned window, (worst value, abscissa))
+    done: dict = {}  # window -> (worst value, abscissa)
     out = []
     for plan in plans:
         checks = []
         for w in plan:
-            for seen, extremum in done:
-                if w.same_extremum(seen):
-                    break
-            else:
-                extremum = window_extremum(w.g, w.lo, w.hi, w.mode, samples)
-                done.append((w, extremum))
+            key = w.window
+            if key not in done:
+                done[key] = window_extremum(w.g, w.lo, w.hi, w.mode, samples)
+            extremum = done[key]
             checks.append(_verdict(w, *extremum))
         out.append(checks)
     return out
@@ -659,6 +647,7 @@ def contraction_constants(
         raise ValueError("system size must be >= 1")
     if not (p > 1 and q > 1) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ConjugateExponentError("need p, q > 1 with 1/p + 1/q = 1")
+    pref = weight_bundle(ws, ts, params)[0]
     if K == 0.0:
         return {
             label: IntegralResult(0.0, 0.0, CONVERGED, [(min(cutoffs), 0.0)])
@@ -670,7 +659,6 @@ def contraction_constants(
 
     I1 = integrate(ups, tol=tol, cutoffs=cutoffs)
     Nq = p_norm(ups, q, tol=tol, cutoffs=cutoffs)
-    pref = 1.0 if ws.synthetic else params.r0 ** 2 / (params.N - 2.0) ** 2
     nq_trace = dict(Nq.cutoff_trace)
     status = _worst(I1.status, Nq.status)
     rel = 0.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridFunction", "trapezoid_weights", "sup_distance", "lp_distance"]
+__all__ = ["GridFunction", "trapezoid_weights", "sup_distance"]
 
 
 @dataclass
@@ -39,9 +39,6 @@ class GridFunction:
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.nodes.copy(), self.values.copy())
-
     @classmethod
     def constant(cls, nodes, level: float) -> "GridFunction":
         nodes = np.asarray(nodes, dtype=float)
@@ -60,11 +57,3 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 def sup_distance(u: GridFunction, v: GridFunction) -> float:
     """Node-wise sup metric."""
     return float(np.max(np.abs(u.values - v.values)))
-
-
-def lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
-    """Node-wise L^p metric via trapezoid quadrature over the grid interval."""
-    if not p > 1:
-        raise ValueError("metric exponent must exceed 1")
-    w = trapezoid_weights(u.nodes)
-    return float(np.sum(w * np.abs(u.values - v.values) ** p) ** (1.0 / p))

@@ -5,6 +5,11 @@ keep the scheme second order everywhere.  The solve path calls no
 Green's-kernel code; it exists to validate that code, so independence is the
 point.  green_consistency is the comparison harness and the only place here
 that evaluates the kernel.
+
+With pure Neumann ends (alpha = gamma = 0) the matrix tends to a singular
+one as r0 -> 0 (constants span its null space): for r0 below about 1e-4 the
+float64 solve is ill-conditioned, and where the last pivot cancels to
+exactly 0 it raises ValueError.
 """
 
 from __future__ import annotations
@@ -86,9 +91,10 @@ def build_system(bvp: LinearBVP) -> tuple:
 def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Thomas elimination in Python floats.
 
-    Every pivot of build_system's matrix is at least 1/h^2, the size of the
-    subdiagonal entry below it, so LAPACK's dgtsv swaps no row either and
-    this sweep repeats its arithmetic step for step.
+    Every pivot of build_system's matrix but the last is at least 1/h^2,
+    the size of the subdiagonal entry below it, so LAPACK's dgtsv swaps no
+    row either and this sweep repeats its arithmetic step for step.  A last
+    pivot of exactly 0 raises ValueError.
     """
     du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
     u = b.tolist()
@@ -96,6 +102,8 @@ def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
         fact = dl[i] / d[i]
         d[i + 1] -= fact * du[i]
         u[i + 1] -= fact * u[i]
+    if d[-1] == 0.0:
+        raise ValueError("singular FD system: the last pivot is 0")
     u[-1] /= d[-1]
     for i in range(len(du) - 1, -1, -1):
         u[i] = (u[i] - du[i] * u[i + 1]) / d[i]

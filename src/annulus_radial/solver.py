@@ -57,7 +57,7 @@ import numpy as np
 from .grid import GridFunction, sup_distance, trapezoid_weights
 from .kernel import KernelParams, phi, psi, varrho
 from .quadrature import EvaluationError
-from .weights import TransformSpec, WeightSpec, kelvin_s, weight_ell
+from .weights import TransformSpec, WeightSpec, kelvin_s, weight_bundle, weight_ell
 
 __all__ = [
     "ProblemSpec",
@@ -104,6 +104,8 @@ class ProblemSpec:
             raise ValueError("cutoff below the weight evaluation floor")
         if not self.metric_p > 1.0:
             raise ValueError("metric exponent must exceed 1")
+        # a factor weight's transform must carry the kernel's r0 and N
+        weight_bundle(self.weights, self.transform, self.kernel)
 
 
 @dataclass

@@ -11,6 +11,13 @@ at s = 0 (s^-4 for N = 3), so every evaluation is restricted to a positive
 floor.  A synthetic override replaces the whole weight bundle with a given
 omega(s), which keeps the solver and its oracles testable on integrable
 weights.
+
+weight_bundle is the one place the weight is composed: it returns the
+prefactor, the power and the factors as functions of s, with omega standing
+in as (1, 0, (omega,)).  Every other weight quantity here and in conditions
+reads it.  The prefactor takes r0 and N from the TransformSpec, so where a
+factor weight meets KernelParams the two must agree on r0 and N; a synthetic
+weight uses neither and is exempt.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ __all__ = [
     "kelvin_s",
     "kelvin_r",
     "singular_power",
-    "transformed_factor",
+    "weight_bundle",
     "factor_product",
     "weight_ell",
     "xi_hat",
@@ -112,10 +119,6 @@ class WeightSpec:
     def synthetic(self) -> bool:
         return self.synthetic_override is not None
 
-    @property
-    def m(self) -> int:
-        return 1 if self.synthetic else len(self.factors)
-
 
 def kelvin_s(r, ts: TransformSpec):
     """s = (r/r0)^(2-N); strictly decreasing in r for N >= 3."""
@@ -135,9 +138,10 @@ def kelvin_r(s, ts: TransformSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def singular_power(ts: TransformSpec) -> float:
-    """Exponent 2(N-1)/(2-N) of the weight's singular power (-4 for N=3)."""
-    return 2.0 * (ts.N - 1.0) / (2.0 - ts.N)
+def singular_power(spec) -> float:
+    """Exponent 2(N-1)/(2-N) of the weight's singular power (-4 for N=3);
+    spec is a TransformSpec or KernelParams."""
+    return 2.0 * (spec.N - 1.0) / (2.0 - spec.N)
 
 
 def _check_floor(s: np.ndarray, floor: float):
@@ -147,22 +151,41 @@ def _check_floor(s: np.ndarray, floor: float):
         )
 
 
-def transformed_factor(ws: WeightSpec, i: int, s, ts: TransformSpec):
-    """Factor i composed with the inverse map: f_i(r0 * s^(1/(2-N)))."""
+def weight_bundle(ws: WeightSpec, ts: TransformSpec,
+                  params: KernelParams | None = None) -> tuple:
+    """(prefactor, power, factors) with ell(s) = prefactor * s^power *
+    prod_i factors[i](s): factors[i](s) = f_i(r0 * s^(1/(2-N))), or
+    (1.0, 0.0, (omega,)) for a synthetic weight.
+
+    With params, a factor weight whose transform disagrees with the kernel
+    on r0 or N raises ValueError.
+    """
     if ws.synthetic:
-        raise ValueError("synthetic weight has no factor list")
-    s_arr = np.asarray(s, dtype=float)
-    rr = ts.r0 * s_arr ** (1.0 / (2.0 - ts.N))
-    out = ws.factors[i](rr)
+        return 1.0, 0.0, (ws.synthetic_override,)
+    if params is not None and (ts.r0, ts.N) != (params.r0, params.N):
+        raise ValueError(
+            f"transform (r0={ts.r0:g}, N={ts.N}) disagrees with the kernel "
+            f"(r0={params.r0:g}, N={params.N})"
+        )
+    inv = 1.0 / (2.0 - ts.N)
+    factors = tuple(
+        (lambda s, _f=f: _f(ts.r0 * np.asarray(s, dtype=float) ** inv))
+        for f in ws.factors
+    )
+    return ts.r0 ** 2 / (ts.N - 2.0) ** 2, singular_power(ts), factors
+
+
+def _product(factors, s: np.ndarray) -> np.ndarray:
+    out = np.ones(s.shape)
+    for f in factors:
+        out = out * np.asarray(f(s))
     return out
 
 
 def factor_product(ws: WeightSpec, s, ts: TransformSpec):
-    """Product of all transformed factors at s."""
+    """Product of all transformed factors at s (omega for a synthetic weight)."""
     s_arr = np.asarray(s, dtype=float)
-    out = np.ones(s_arr.shape)
-    for i in range(len(ws.factors)):
-        out = out * np.asarray(transformed_factor(ws, i, s_arr, ts))
+    out = _product(weight_bundle(ws, ts)[2], s_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -170,11 +193,8 @@ def weight_ell(s, ws: WeightSpec, ts: TransformSpec):
     """Full transformed weight ell(s), or omega(s) in synthetic mode."""
     s_arr = np.asarray(s, dtype=float)
     _check_floor(s_arr, ws.eval_floor)
-    if ws.synthetic:
-        out = np.asarray(ws.synthetic_override(s_arr))
-    else:
-        pref = ts.r0 ** 2 / (ts.N - 2.0) ** 2
-        out = pref * s_arr ** singular_power(ts) * factor_product(ws, s_arr, ts)
+    pref, power, factors = weight_bundle(ws, ts)
+    out = pref * s_arr ** power * _product(factors, s_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -183,8 +203,7 @@ def xi_hat(t, params: KernelParams) -> float:
     t_arr = np.asarray(t, dtype=float)
     if (t_arr <= 0).any() or (t_arr > 1).any():
         raise DomainError("xi_hat is defined on (0, 1]")
-    sp = 2.0 * (params.N - 1.0) / (2.0 - params.N)
-    out = kernel_diag(params, t_arr) * t_arr ** sp
+    out = kernel_diag(params, t_arr) * t_arr ** singular_power(params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,25 +211,9 @@ def upsilon(t, params: KernelParams, ws: WeightSpec, ts: TransformSpec):
     """Diagonal-weighted kernel: xi_hat(t) * prod factors, or Xi(t,t)*omega(t)."""
     t_arr = np.asarray(t, dtype=float)
     _check_floor(t_arr, ws.eval_floor)
-    if ws.synthetic:
-        out = kernel_diag(params, t_arr) * np.asarray(ws.synthetic_override(t_arr))
-    else:
-        out = np.asarray(xi_hat(t_arr, params)) * factor_product(ws, t_arr, ts)
+    _, power, factors = weight_bundle(ws, ts, params)
+    out = kernel_diag(params, t_arr) * t_arr ** power * _product(factors, t_arr)
     return float(out) if out.ndim == 0 else out
-
-
-def weight_shape(ws: WeightSpec, ts: TransformSpec) -> Callable:
-    """The weight bundle without the kernel or the r0^2/(N-2)^2 prefactor:
-    t^(2(N-1)/(2-N)) * prod factors, or omega in synthetic mode."""
-    if ws.synthetic:
-        return lambda t: np.asarray(ws.synthetic_override(np.asarray(t, dtype=float)))
-    sp = singular_power(ts)
-
-    def shape(t):
-        t_arr = np.asarray(t, dtype=float)
-        return t_arr ** sp * factor_product(ws, t_arr, ts)
-
-    return shape
 
 
 def singularity_exponent(
@@ -225,9 +228,9 @@ def singularity_exponent(
     Emits EstimationUnstableWarning when the fit residual exceeds the
     threshold (in log10 units).
     """
-    shape = weight_shape(ws, ts)
-    t = np.asarray(sorted(cutoffs))
-    vals = np.asarray([float(shape(x)) for x in t])
+    _, power, factors = weight_bundle(ws, ts)
+    t = np.asarray(sorted(cutoffs), dtype=float)
+    vals = t ** power * _product(factors, t)
     if (vals <= 0).any():
         raise ValueError("exponent fit needs positive weight values")
     logs_t = np.log10(t)

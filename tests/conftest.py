@@ -22,7 +22,7 @@ from annulus_radial.conditions import (
     window_extremum,
 )
 from annulus_radial.exprlang import parse
-from annulus_radial.kernel import BoundReport, cone_floor, kernel_matrix, wp
+from annulus_radial.kernel import BoundReport, cone_floor, kernel_diag, kernel_matrix, wp
 from annulus_radial.quadrature import (
     CONVERGED,
     DEFAULT_CUTOFFS,
@@ -87,6 +87,57 @@ def per_node_green_representation(params, s_nodes, rhs, n_gauss=64):
             total += half * float(np.sum(wg * row * np.asarray(rhs(t), dtype=float)))
         out[i] = total
     return out
+
+
+def _branchy_factor_product(ws, s, ts):
+    out = np.ones(s.shape)
+    for f in ws.factors:
+        out = out * np.asarray(f(ts.r0 * s ** (1.0 / (2.0 - ts.N))))
+    return out
+
+
+def branchy_weight_ell(s, ws, ts):
+    """The transformed weight with its own synthetic branch, prefactor, power
+    and factor loop: the reference route for weights.weight_ell through
+    weights.weight_bundle."""
+    s = np.asarray(s, dtype=float)
+    if ws.synthetic:
+        return np.asarray(ws.synthetic_override(s))
+    pref = ts.r0 ** 2 / (ts.N - 2.0) ** 2
+    power = 2.0 * (ts.N - 1.0) / (2.0 - ts.N)
+    return pref * s ** power * _branchy_factor_product(ws, s, ts)
+
+
+def branchy_hhat(params, ws):
+    """The diagonal-weighted kernel without the factors, Xi(t,t) for a
+    synthetic weight and Xi(t,t) * t^(2(N-1)/(2-N)) with N from the kernel
+    otherwise: the reference route for compute_constants' integrand."""
+    if ws.synthetic:
+        return lambda t: kernel_diag(params, t)
+    power = 2.0 * (params.N - 1.0) / (2.0 - params.N)
+    return lambda t: kernel_diag(params, t) * np.asarray(t, dtype=float) ** power
+
+
+def branchy_upsilon(t, params, ws, ts):
+    """upsilon with a synthetic branch: the reference route for
+    weights.upsilon through weights.weight_bundle."""
+    t = np.asarray(t, dtype=float)
+    if ws.synthetic:
+        return kernel_diag(params, t) * np.asarray(ws.synthetic_override(t))
+    return branchy_hhat(params, ws)(t) * _branchy_factor_product(ws, t, ts)
+
+
+def per_point_singularity_exponent(ws, ts, cutoffs=DEFAULT_CUTOFFS):
+    """The log-log slope of t^power * prod factors evaluated one cutoff at a
+    time: the reference route for the one array call of
+    weights.singularity_exponent (factor weights only)."""
+    power = 2.0 * (ts.N - 1.0) / (2.0 - ts.N)
+    t = np.asarray(sorted(cutoffs))
+    vals = []
+    for x in t:
+        x = np.asarray(x, dtype=float)
+        vals.append(float(x ** power * _branchy_factor_product(ws, x, ts)))
+    return float(np.polyfit(np.log10(t), np.log10(vals), 1)[0])
 
 
 def whole_array_fold(asm, c):

@@ -146,6 +146,15 @@ def test_elimination_needs_no_row_swap():
         assert (pivots > 0.0).all()
 
 
+@pytest.mark.parametrize("r0", [1e-6, 1e-5])
+def test_pure_neumann_small_r0_names_the_singular_pivot(r0):
+    # alpha = gamma = 0: the last pivot cancels to exactly 0 at this size,
+    # which used to surface as a bare ZeroDivisionError
+    p = KernelParams(0.0, 1.0, 0.0, 1.0, r0, 3)
+    with pytest.raises(ValueError, match="last pivot is 0"):
+        green_consistency(p, lambda t: 1.0 + np.sin(3.0 * t), 2122)
+
+
 @pytest.mark.parametrize("ends", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
                          ids=["robin", "dirichlet-left", "dirichlet-right", "dirichlet"])
 def test_green_representation_matches_per_node_route(ends):

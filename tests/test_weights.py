@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from conftest import (
+    branchy_hhat,
+    branchy_upsilon,
+    branchy_weight_ell,
+    per_point_singularity_exponent,
+)
 
+from annulus_radial import conditions
+from annulus_radial.config import config_from_dict
 from annulus_radial.exprlang import parse
-from annulus_radial.kernel import DomainError, kernel_diag
+from annulus_radial.kernel import DomainError, KernelParams, kernel_diag
+from annulus_radial.reproduce import example_config
+from annulus_radial.solver import ProblemSpec
 from annulus_radial.weights import (
     EstimationUnstableWarning,
     TransformSpec,
@@ -14,6 +24,7 @@ from annulus_radial.weights import (
     kelvin_s,
     singularity_exponent,
     upsilon,
+    weight_bundle,
     weight_ell,
     xi_hat,
 )
@@ -183,3 +194,137 @@ def test_transform_validation():
         TransformSpec(1.0, 3, R1=1.0)
     ts = TransformSpec(1.0, 3, R1=1.0, R2=3.0)
     assert ts.R2 == 3.0
+
+
+# ---------------------------------------------------------------------------
+# the weight bundle against the branchy reference routes
+# ---------------------------------------------------------------------------
+
+BUNDLE_NODES = np.geomspace(1e-8, 1.0, 65537)
+_WEIGHTS = {
+    "factors-2": (WeightSpec(factors=(parse("1/(t^2+1)", "t"), parse("1/sqrt(t+2)", "t")),
+                             p_exponents=(2.0, 3.0)), 6.0),
+    "factor-exp": (WeightSpec(factors=(parse("2 + sin(t)*exp(-t/5)", "t"),),
+                              p_exponents=(2.0,)), 2.0),
+    "synthetic-power": (WeightSpec(synthetic_override=parse("1.3*t^(-0.41)", "t"),
+                                   eval_floor=1e-8), 2.0),
+    "synthetic-lambda": (WeightSpec(synthetic_override=lambda t: 2.0 + np.sin(20.0 * np.log(t)),
+                                    eval_floor=1e-8), 3.0),
+}
+
+
+def _bundle_cases():
+    rng = np.random.default_rng(14)
+    cases = []
+    for N in (3, 4, 5):
+        for r0 in (0.1, float(10 ** rng.uniform(-1.0, math.log10(50.0))), 50.0):
+            params = KernelParams(*rng.uniform(0.2, 5.0, size=4), r0, N)
+            for name in _WEIGHTS:
+                cases.append(pytest.param(params, name, id=f"N{N}-r0={r0:.3g}-{name}"))
+    return cases
+
+
+class _Stop(Exception):
+    """Raised in place of compute_constants' first integral."""
+
+
+def _stop_at_integrate(monkeypatch) -> list:
+    """Make conditions.integrate raise _Stop; returns the integrands it saw."""
+    seen = []
+
+    def first_integral(f, **kwargs):
+        seen.append(f)
+        raise _Stop
+
+    monkeypatch.setattr(conditions, "integrate", first_integral)
+    return seen
+
+
+def _hhat_of(monkeypatch, params, ws, ts, q):
+    """compute_constants' diagonal-weighted integrand."""
+    seen = _stop_at_integrate(monkeypatch)
+    with pytest.raises(_Stop):
+        conditions.compute_constants(params, ws, ts, q)
+    return seen[0]
+
+
+@pytest.mark.parametrize("params, name", _bundle_cases())
+def test_bundle_routes_match_branchy_reference(monkeypatch, params, name):
+    ws, q = _WEIGHTS[name]
+    ts = TransformSpec(params.r0, params.N)
+    s = BUNDLE_NODES
+    assert np.array_equal(weight_ell(s, ws, ts), branchy_weight_ell(s, ws, ts))
+    assert weight_ell(0.37, ws, ts) == float(branchy_weight_ell(0.37, ws, ts))
+    assert np.array_equal(upsilon(s, params, ws, ts), branchy_upsilon(s, params, ws, ts))
+    assert upsilon(0.37, params, ws, ts) == float(branchy_upsilon(0.37, params, ws, ts))
+    hhat = _hhat_of(monkeypatch, params, ws, ts, q)
+    assert np.array_equal(hhat(s), branchy_hhat(params, ws)(s))
+
+
+def test_bundle_parts():
+    ts = TransformSpec(2.0, 4)
+    omega = parse("1 + t", "t")
+    assert weight_bundle(WeightSpec(synthetic_override=omega), ts) == (1.0, 0.0, (omega,))
+    ws, _ = _WEIGHTS["factors-2"]
+    pref, power, factors = weight_bundle(ws, ts)
+    assert (pref, power) == (1.0, -3.0)  # r0^2/(N-2)^2 and 2(N-1)/(2-N)
+    assert len(factors) == 2
+    assert factors[0](0.25) == ws.factors[0](2.0 * 0.25 ** -0.5)
+
+
+def test_factor_product_of_synthetic_weight_is_omega():
+    """A synthetic weight's single factor is omega itself (it used to raise
+    'synthetic weight has no factor list')."""
+    ws, _ = _WEIGHTS["synthetic-power"]
+    s = np.linspace(0.01, 1.0, 50)
+    assert np.array_equal(factor_product(ws, s, TransformSpec(1.7, 4)),
+                          ws.synthetic_override(s))
+    assert factor_product(ws, 0.5, TransformSpec()) == ws.synthetic_override(0.5)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_singularity_exponent_matches_per_point_fit(example):
+    cfg = config_from_dict(example_config(example))
+    assert singularity_exponent(cfg.weights, cfg.transform) == (
+        per_point_singularity_exponent(cfg.weights, cfg.transform))
+
+
+def _entry_points(monkeypatch, params, ws, ts):
+    """Every place a weight meets kernel parameters, each stopped or made
+    cheap once it is past the r0/N check."""
+    def constants():
+        _stop_at_integrate(monkeypatch)
+        with pytest.raises(_Stop):
+            conditions.compute_constants(params, ws, ts, 6.0 if ws.factors else 2.0)
+
+    return {
+        "compute_constants": constants,
+        "contraction_constants": lambda: conditions.contraction_constants(
+            params, ws, ts, 1e-3, 1, 2.0, 2.0),
+        "contraction_constants K=0": lambda: conditions.contraction_constants(
+            params, ws, ts, 0.0, 1, 2.0, 2.0),
+        "upsilon": lambda: upsilon(0.5, params, ws, ts),
+        "ProblemSpec": lambda: ProblemSpec(n=1, g=(parse("0", "u"),), kernel=params,
+                                           weights=ws, transform=ts),
+    }
+
+
+ENTRY_POINTS = ["compute_constants", "contraction_constants",
+                "contraction_constants K=0", "upsilon", "ProblemSpec"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("ts", [TransformSpec(1.0, 3), TransformSpec(1.5, 4)],
+                         ids=["r0", "N"])
+def test_factor_weight_transform_must_match_kernel(monkeypatch, asym_params,
+                                                   example1_weights, entry, ts):
+    run = _entry_points(monkeypatch, asym_params, example1_weights, ts)[entry]
+    with pytest.raises(ValueError, match="disagrees with the kernel"):
+        run()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_synthetic_weight_ignores_transform_r0_and_N(monkeypatch, asym_params,
+                                                    synthetic_unit_weight, entry):
+    ts = TransformSpec(1.0, 4)  # the kernel has r0 = 1.5, N = 3
+    _entry_points(monkeypatch, asym_params, synthetic_unit_weight, ts)[entry]()
