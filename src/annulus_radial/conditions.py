@@ -222,12 +222,13 @@ def compute_constants(
     """All twelve constants with statuses and ingredient provenance.
 
     q is the Holder partner of the factor exponents (a synthetic weight's
-    single factor takes q/(q-1)); the conjugacy identity is validated up
-    front and violations raise ConjugateExponentError.
+    single factor takes q/(q-1), or 1 when q is infinite); the conjugacy
+    identity is validated up front and violations raise
+    ConjugateExponentError.
     """
     if not q > 1:
         raise ConjugateExponentError("q must exceed 1")
-    p_list = tuple(ws.p_exponents) or (q / (q - 1.0),)
+    p_list = tuple(ws.p_exponents) or (1.0 if math.isinf(q) else q / (q - 1.0),)
     if not holder_conjugate_check(p_list, q):
         s = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
         raise ConjugateExponentError(

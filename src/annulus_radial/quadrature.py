@@ -17,10 +17,24 @@ rule in the graded variable s of t = a (b/a)^s, in which power-law tails are
 smooth exponentials; all rungs of a ladder share one array call per round.
 The independent composite-Simpson cross-checks live in the test suite, not
 here.
+
+The endpoint suprema and infima sample each rung [eps, 1] on
+linspace(eps, 1, n) together with geomspace(eps, 1, n), for n = 2049, 4097,
+... up to 2^18 + 1, and stop once two levels agree within tol.  Both
+families nest bit for bit (the even entries of the 2n - 1 points are the n
+points), so each level evaluates only the points the level before lacks.
+The first two levels' points are kept per cutoff, read-only, in a bounded
+cache: every rung needs both, because the stopping rule compares two
+levels, and most rungs stop there.  Deeper levels are built when reached.
+A plain callable goes point by point here too.  Traced on 2 vCPUs (Python
+3.11, numpy 2.4), the extrema take 14-15 ms of an audit cycle (`reproduce`
+of the four examples) and 22-27 ms of a screen cycle, where evaluating
+every level's whole grid took 44-48 and 63-65 ms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -262,22 +276,55 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _extremum_on(f: Callable, lo: float, tol: float, mode: str) -> float:
+_FIRST_LEVEL = 2049
+_LAST_LEVEL = (1 << 18) + 1
+
+
+def _new_points(lo: float, n: int) -> np.ndarray:
+    """The sorted abscissae that level n adds on [lo, 1]: every point of
+    linspace(lo, 1, n) and geomspace(lo, 1, n) at the first level, their odd
+    entries after it (the even entries are the previous level's, bit for bit)."""
+    start, step = (0, 1) if n == _FIRST_LEVEL else (1, 2)
+    grid = np.sort(np.concatenate([np.linspace(lo, 1.0, n)[start::step],
+                                   np.geomspace(lo, 1.0, n)[start::step]]))
+    # np.unique's result, without the numpy.ma import np.unique makes on
+    # first use (~16 ms in a fresh process)
+    return grid[np.append(True, grid[1:] != grid[:-1])]
+
+
+@functools.lru_cache(maxsize=32)
+def _opening_levels(lo: float) -> tuple:
+    """The new points of the first two levels, which every rung evaluates;
+    read-only, since they are shared between calls (~65 KB per cutoff)."""
+    levels = (_new_points(lo, _FIRST_LEVEL), _new_points(lo, 2 * _FIRST_LEVEL - 1))
+    for grid in levels:
+        grid.flags.writeable = False
+    return levels
+
+
+def _levels(lo: float):
+    """The new points of each level on [lo, 1], coarsest first; the opening
+    two come from the cache, deeper ones are built when reached."""
+    yield from _opening_levels(lo)
+    n = 4 * (_FIRST_LEVEL - 1) + 1
+    while n <= _LAST_LEVEL:
+        yield _new_points(lo, n)
+        n = 2 * (n - 1) + 1
+
+
+def _extremum_on(evaluate: Callable, lo: float, tol: float, mode: str) -> float:
+    """Extremum of the sampled values on [lo, 1], the sample refined until
+    two levels agree within tol or the last level is reached.  Each level
+    evaluates only its new points; np.max/np.min fold them into the running
+    extremum, so a NaN propagates as it does over the whole grid."""
     pick = np.max if mode == "max" else np.min
-    n = 2049
-    last = None
-    best = None
-    while n <= (1 << 18) + 1:
-        grid = np.sort(np.concatenate([np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n)]))
-        # np.unique's result, without the numpy.ma import np.unique makes on
-        # first use (~16 ms in a fresh process)
-        grid = grid[np.append(True, grid[1:] != grid[:-1])]
-        vals = np.asarray(f(grid), dtype=float)
-        best = float(pick(vals))
+    last = best = None
+    for grid in _levels(lo):
+        level = pick(evaluate(grid))
+        best = float(level if best is None else pick([best, level]))
         if last is not None and abs(best - last) <= tol * max(1.0, abs(best)):
             return best
         last = best
-        n = 2 * (n - 1) + 1
     return best
 
 
@@ -296,22 +343,25 @@ def _classify_levels(eps: list, levels: list, tol: float, mode: str) -> Integral
     return IntegralResult(value, delta, CUTOFF_LIMITED, trace, exponent_estimate=slope)
 
 
+def _extremum_ladder(f: Callable, tol: float, cutoffs: Sequence[float], mode: str):
+    eps = _validate_cutoffs(cutoffs)
+    evaluate = _evaluator(f)  # one per ladder, so a plain callable is found once
+    levels = [_extremum_on(evaluate, e, tol, mode) for e in eps]
+    return _classify_levels(eps, levels, tol, mode)
+
+
 def endpoint_supremum(
     f: Callable, tol: float = 1e-10, cutoffs: Sequence[float] = DEFAULT_CUTOFFS
 ) -> IntegralResult:
     """sup of f over [eps, 1] across the cutoff ladder."""
-    eps = _validate_cutoffs(cutoffs)
-    levels = [_extremum_on(f, e, tol, "max") for e in eps]
-    return _classify_levels(eps, levels, tol, "max")
+    return _extremum_ladder(f, tol, cutoffs, "max")
 
 
 def endpoint_infimum(
     f: Callable, tol: float = 1e-10, cutoffs: Sequence[float] = DEFAULT_CUTOFFS
 ) -> IntegralResult:
     """inf of f over [eps, 1] across the cutoff ladder (nonincreasing in eps)."""
-    eps = _validate_cutoffs(cutoffs)
-    levels = [_extremum_on(f, e, tol, "min") for e in eps]
-    return _classify_levels(eps, levels, tol, "min")
+    return _extremum_ladder(f, tol, cutoffs, "min")
 
 
 def p_norm(

@@ -182,6 +182,19 @@ def test_cli_constants_synthetic_converges(tmp_path, capsys):
     assert payload["constants"]["Q1"]["value"] == pytest.approx(2 * math.e, rel=1e-8)
 
 
+def test_cli_constants_synthetic_with_infinite_q(tmp_path, capsys):
+    # the Holder partner of q = inf is p = 1; q/(q-1) would be inf/inf
+    doc = minimal_config()
+    doc["numerics"]["q"] = math.inf  # written as Infinity
+    path = write_config(tmp_path, doc)
+    assert cli.main(["constants", "--config", path]) == 0
+    consts = json.loads(capsys.readouterr().out)["constants"]
+    k2, k3 = consts["k2"]["ingredients"], consts["k3"]["ingredients"]
+    assert k2["diag_weight_norm_q"] == k3["diag_weight_norm_inf"]
+    assert k2["diag_weight_norm_q"]["value"] == pytest.approx(0.5, rel=1e-12)
+    assert k2["factor_1_p1"]["status"] == "converged"
+
+
 def test_cli_constants_divergent_is_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, example_config(1), "ex1.json")
     assert cli.main(["constants", "--config", path]) == 3

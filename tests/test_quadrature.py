@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import composite_simpson, riemann_midpoint
 
 from annulus_radial import quadrature
+from annulus_radial.exprlang import ExprDomainError, parse
 from annulus_radial.kernel import kernel_diag
 from annulus_radial.quadrature import (
     CONVERGED,
@@ -250,3 +252,170 @@ def test_non_integrable_spike_stops_at_the_subinterval_cap():
     res = integrate(lambda t: np.abs(t - 0.3) ** -1.5, tol=1e-10)
     assert res.status != CONVERGED
     assert math.isfinite(res.abs_error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# the nested, memoized extremum ladder against the whole-grid ladder it
+# replaced
+# ---------------------------------------------------------------------------
+
+
+def whole_grid_extremum_on(f, lo, tol, mode):
+    """The extremum ladder before nesting: each level evaluates its whole
+    grid, linspace and geomspace on n points, from 2049 to 2^18 + 1."""
+    pick = np.max if mode == "max" else np.min
+    n = 2049
+    last = None
+    best = None
+    while n <= (1 << 18) + 1:
+        grid = np.sort(np.concatenate([np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n)]))
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
+        vals = np.asarray(f(grid), dtype=float)
+        best = float(pick(vals))
+        if last is not None and abs(best - last) <= tol * max(1.0, abs(best)):
+            return best
+        last = best
+        n = 2 * (n - 1) + 1
+    return best
+
+
+def whole_grid_ladder(f, mode, tol, cutoffs):
+    eps = list(cutoffs)
+    levels = [whole_grid_extremum_on(f, e, tol, mode) for e in eps]
+    return quadrature._classify_levels(eps, levels, tol, mode)
+
+
+def levels_evaluated(f, lo, tol, mode):
+    calls = []
+
+    def evaluate(t):
+        calls.append(t.size)
+        return np.asarray(f(t), dtype=float)
+
+    quadrature._extremum_on(evaluate, lo, tol, mode)
+    return len(calls)
+
+
+LEVEL_SIZES = [(1 << k) + 1 for k in range(11, 19)]  # 2049 .. 2^18 + 1
+LO = 1e-6
+THIRD = LO + (1.0 - LO) / 3.0  # never on linspace(LO, 1, 2^k + 1)
+NEW_AT_SECOND = float(np.linspace(1e-2, 1.0, 4097)[2049])  # not on level 2049
+
+
+def test_level_sizes_are_the_ladders():
+    assert LEVEL_SIZES[0] == quadrature._FIRST_LEVEL
+    assert LEVEL_SIZES[-1] == quadrature._LAST_LEVEL
+
+
+@pytest.mark.parametrize("lo", DEFAULT_CUTOFFS)
+def test_sample_families_nest_bit_for_bit(lo):
+    for n in LEVEL_SIZES[:-1]:
+        for family in (np.linspace, np.geomspace):
+            assert np.array_equal(family(lo, 1.0, 2 * n - 1)[::2], family(lo, 1.0, n))
+
+
+@pytest.mark.parametrize("lo", DEFAULT_CUTOFFS)
+def test_new_points_make_up_each_whole_grid(lo):
+    seen = np.empty(0)
+    for n, new in zip(LEVEL_SIZES, quadrature._levels(lo)):
+        assert np.all(np.diff(new) > 0.0)
+        grid = np.union1d(np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n))
+        seen = np.union1d(seen, new)
+        assert np.array_equal(seen, grid)
+
+
+# (f in max mode, tol, cutoffs); min mode takes -f
+LADDER_CASES = {
+    "stops_at_first_check": (lambda t: np.exp(-t), 1e-10, DEFAULT_CUTOFFS),
+    "stops_at_a_middle_level": (lambda t: -np.abs(t - THIRD), 1e-5, (LO,)),
+    "reaches_the_cap": (lambda t: -np.abs(t - THIRD), 1e-10, (LO,)),
+    "extremum_at_a_new_point": (lambda t: -((t - NEW_AT_SECOND) ** 2), 1e-10, (1e-2,)),
+    "nan_at_a_new_point": (lambda t: np.where(t == NEW_AT_SECOND, np.nan, t), 1e-10, (1e-2,)),
+    "nan_from_the_start": (lambda t: np.log(t - 0.5), 1e-10, DEFAULT_CUTOFFS),
+    "power_ladder": (lambda t: t**-2.0, 1e-10, DEFAULT_CUTOFFS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_nested_ladder_matches_whole_grid_reference(name, mode):
+    f, tol, cutoffs = LADDER_CASES[name]
+    g = f if mode == "max" else (lambda t: -f(t))
+    ladder = endpoint_supremum if mode == "max" else endpoint_infimum
+    with np.errstate(invalid="ignore"):
+        got = ladder(g, tol=tol, cutoffs=cutoffs).to_dict()
+        want = whole_grid_ladder(g, mode, tol, cutoffs).to_dict()
+    # json text, so that NaN equals NaN
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_ladder_cases_stop_where_they_are_named_for():
+    with np.errstate(invalid="ignore"):
+        stops = {name: levels_evaluated(f, cutoffs[0], tol, "max")
+                 for name, (f, tol, cutoffs) in LADDER_CASES.items()}
+    assert stops["stops_at_first_check"] == 2
+    assert 2 < stops["stops_at_a_middle_level"] < len(LEVEL_SIZES)
+    assert stops["reaches_the_cap"] == len(LEVEL_SIZES)
+    assert stops["nan_at_a_new_point"] == len(LEVEL_SIZES)
+    assert stops["extremum_at_a_new_point"] == 3
+    res = endpoint_supremum(LADDER_CASES["extremum_at_a_new_point"][0], cutoffs=(1e-2,))
+    assert res.value == 0.0  # attained only at NEW_AT_SECOND
+    res = endpoint_supremum(LADDER_CASES["nan_at_a_new_point"][0], cutoffs=(1e-2,))
+    assert math.isnan(res.value)
+
+
+def test_opening_levels_are_cached_read_only():
+    first = quadrature._opening_levels(1e-3)
+    assert quadrature._opening_levels(1e-3) is first
+    for grid in first:
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+    f = lambda t: np.cos(7.0 * t) / t
+    assert endpoint_supremum(f).to_dict() == endpoint_supremum(f).to_dict()
+    assert endpoint_infimum(f).to_dict() == endpoint_infimum(f).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# plain callables in the extremum ladder
+# ---------------------------------------------------------------------------
+
+
+EXTREMA = {
+    "endpoint_supremum": endpoint_supremum,
+    "endpoint_infimum": endpoint_infimum,
+    "p_norm_inf": lambda f, **kw: p_norm(f, math.inf, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMA))
+def test_extremum_ladder_takes_a_scalar_callable(name):
+    ladder = EXTREMA[name]
+    slow = ladder(lambda t: math.exp(-t) * (2.0 + math.cos(5.0 * t)))
+    fast = ladder(lambda t: np.exp(-t) * (2.0 + np.cos(5.0 * t)))
+    assert slow.status == fast.status
+    for (e1, v1), (e2, v2) in zip(slow.cutoff_trace, fast.cutoff_trace):
+        assert e1 == e2 and v1 == pytest.approx(v2, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMA))
+def test_extremum_ladder_names_the_failing_abscissa(name):
+    def bad(t):
+        if t < 0.05:
+            raise ValueError("boom")
+        return 1.0
+
+    with pytest.raises(EvaluationError, match=r"integrand failed at t=.*boom"):
+        EXTREMA[name](bad)
+
+
+def test_expression_domain_error_names_the_whole_grid_abscissa():
+    # (t - c)^2 is 0 only at c, a point the second level adds
+    f = parse(f"log((t - {NEW_AT_SECOND!r})^2)", variable="t")
+    with pytest.raises(ExprDomainError) as before:
+        whole_grid_ladder(f, "max", 1e-10, (1e-2,))
+    with pytest.raises(EvaluationError) as after:
+        endpoint_supremum(f, cutoffs=(1e-2,))
+    assert f"at x={NEW_AT_SECOND!r}" in str(before.value)
+    assert str(after.value).startswith(f"integrand failed at t={NEW_AT_SECOND!r}: ")
+    assert f"at x={NEW_AT_SECOND!r}" in str(after.value)
