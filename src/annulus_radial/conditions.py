@@ -24,6 +24,10 @@ other callable by identity; nothing is kept past the call.
 The contraction condition of the uniqueness theorem comes in two variants,
 with and without the wp factor; contraction_constants computes the two
 integrals they share once and combines them for both.
+
+The numerics are fixed, not settings: every ladder integral and extremum
+runs over quadrature.DEFAULT_CUTOFFS at tolerance _TOL, and every window
+extremum and Lipschitz estimate samples _WINDOW_SAMPLES points.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .quadrature import (
     DEFAULT_CUTOFFS,
     DIVERGENT,
     IntegralResult,
+    _reciprocal_sum,
     endpoint_infimum,
     holder_conjugate_check,
     integrate,
@@ -69,7 +74,8 @@ __all__ = [
 ]
 
 INJECTED = "injected"
-_STATUS_RANK = {CONVERGED: 0, INJECTED: 0, "declared": 0, CUTOFF_LIMITED: 1, DIVERGENT: 2, "degenerate": 2}
+_STATUS_RANK = {CONVERGED: 0, CUTOFF_LIMITED: 1, DIVERGENT: 2}
+_TOL = 1e-9  # the ladder tolerance of every constant
 
 
 class ConjugateExponentError(ValueError):
@@ -77,7 +83,7 @@ class ConjugateExponentError(ValueError):
 
 
 def _worst(*statuses: str) -> str:
-    return max(statuses, key=lambda s: _STATUS_RANK.get(s, 1))
+    return max(statuses, key=_STATUS_RANK.__getitem__)
 
 
 @dataclass
@@ -139,12 +145,11 @@ class ConstantsSet:
 
 
 def _p_case(p_list: Sequence[float]) -> str:
-    s = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
-    if s < 1.0 - 1e-12:
-        return "sum<1"
-    if s <= 1.0 + 1e-12:
+    """The summability case of sum(1/p_i): "sum=1" is Holder conjugacy with
+    q = inf, decided by holder_conjugate_check."""
+    if holder_conjugate_check(p_list, math.inf):
         return "sum=1"
-    return "sum>1"
+    return "sum<1" if _reciprocal_sum(p_list) < 1.0 else "sum>1"
 
 
 def _combine(name, raw_value, statuses, note="", **ingredients) -> ConstantValue:
@@ -168,7 +173,7 @@ def _reciprocal(name, bracket: ConstantValue, note="") -> ConstantValue:
     )
 
 
-def _over_factors(factors, exponents, tol, cutoffs) -> tuple:
+def _over_factors(factors, exponents) -> tuple:
     """Product over the factors of p_norm(f, p), or of the endpoint infimum
     where p is None, with the statuses and each factor's result by name."""
     value = 1.0
@@ -176,21 +181,16 @@ def _over_factors(factors, exponents, tol, cutoffs) -> tuple:
     details = {}
     for i, (f, p) in enumerate(zip(factors, exponents)):
         if p is None:
-            res, key = endpoint_infimum(f, tol=tol, cutoffs=cutoffs), "inf"
+            res, key = endpoint_infimum(f, tol=_TOL), "inf"
         else:
-            res, key = p_norm(f, p, tol=tol, cutoffs=cutoffs), f"p{p:g}"
+            res, key = p_norm(f, p, tol=_TOL), f"p{p:g}"
         value *= res.value
         statuses.append(res.status)
         details[f"factor_{i + 1}_{key}"] = res.to_dict()
     return value, statuses, details
 
 
-def star_product(
-    ws: WeightSpec,
-    ts: TransformSpec,
-    tol: float = 1e-9,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
-) -> ConstantValue:
+def star_product(ws: WeightSpec, ts: TransformSpec) -> ConstantValue:
     """Product of the factor infima: the declared lower bounds when given,
     else each factor's numeric infimum over the cutoff ladder."""
     if ws.lower_bounds is not None:
@@ -201,7 +201,7 @@ def star_product(
             "declared per-factor lower bounds",
         )
     factors = weight_bundle(ws, ts)[2]
-    value, statuses, details = _over_factors(factors, [None] * len(factors), tol, cutoffs)
+    value, statuses, details = _over_factors(factors, [None] * len(factors))
     return ConstantValue(
         "star_product",
         value,
@@ -216,8 +216,6 @@ def compute_constants(
     ws: WeightSpec,
     ts: TransformSpec,
     q: float,
-    tol: float = 1e-9,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
 ) -> ConstantsSet:
     """All twelve constants with statuses and ingredient provenance.
 
@@ -230,9 +228,8 @@ def compute_constants(
         raise ConjugateExponentError("q must exceed 1")
     p_list = tuple(ws.p_exponents) or (1.0 if math.isinf(q) else q / (q - 1.0),)
     if not holder_conjugate_check(p_list, q):
-        s = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
         raise ConjugateExponentError(
-            f"sum(1/p_i) + 1/q = {s + 1.0 / q:.6f}, expected 1"
+            f"sum(1/p_i) + 1/q = {_reciprocal_sum(p_list) + 1.0 / q:.6f}, expected 1"
         )
 
     pref, power, factors = weight_bundle(ws, ts, params)
@@ -241,16 +238,14 @@ def compute_constants(
     def hhat(t):
         return kernel_diag(params, t) * t ** power
 
-    integral_hat = integrate(hhat, tol=tol, cutoffs=cutoffs)
-    norm_q = p_norm(hhat, q, tol=tol, cutoffs=cutoffs)
-    norm_inf = p_norm(hhat, math.inf, tol=tol, cutoffs=cutoffs)
+    integral_hat = integrate(hhat, tol=_TOL)
+    norm_q = p_norm(hhat, q, tol=_TOL)
+    norm_inf = p_norm(hhat, math.inf, tol=_TOL)
 
-    norm_p_prod, norm_p_stats, norm_p_detail = _over_factors(factors, p_list, tol, cutoffs)
-    norm_1_prod, norm_1_stats, norm_1_detail = _over_factors(
-        factors, [1.0] * len(factors), tol, cutoffs
-    )
+    norm_p_prod, norm_p_stats, norm_p_detail = _over_factors(factors, p_list)
+    norm_1_prod, norm_1_stats, norm_1_detail = _over_factors(factors, [1.0] * len(factors))
 
-    star = star_product(ws, ts, tol=tol, cutoffs=cutoffs)
+    star = star_product(ws, ts)
 
     # brackets (the non-reciprocal forms)
     star_value = star.value if star.value is not None else float("nan")
@@ -362,16 +357,17 @@ def _eval_many(g: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_WINDOW_SAMPLES = 10001  # stratified grid points of a window extremum
+_WINDOW_SAMPLES = 10001  # grid points of a window extremum or Lipschitz estimate
 
 
-def _golden(g: Callable, a: float, b: float, sign: float, iters: int = 80) -> tuple:
-    """Golden-section refinement of sign*g (sign=+1 maximizes)."""
+def _golden(g: Callable, a: float, b: float, sign: float) -> tuple:
+    """Golden-section refinement of sign*g (sign=+1 maximizes), at most 80
+    steps."""
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc = sign * float(g(c))
     fd = sign * float(g(d))
-    for _ in range(iters):
+    for _ in range(80):
         if b - a < 1e-14 * max(1.0, abs(a), abs(b)):
             break
         if fc > fd:
@@ -387,25 +383,18 @@ def _golden(g: Callable, a: float, b: float, sign: float, iters: int = 80) -> tu
     return sign * fd, d
 
 
-def window_extremum(
-    g: Callable,
-    lo: float,
-    hi: float,
-    mode: str = "max",
-    samples: int = _WINDOW_SAMPLES,
-) -> tuple:
+def window_extremum(g: Callable, lo: float, hi: float, mode: str = "max") -> tuple:
     """(extremal value, abscissa) of g over [lo, hi].
 
-    Deterministic stratified grid plus golden-section polish around the ten
-    best candidates; the polished result never loses to a sampled value.
+    Deterministic stratified grid of _WINDOW_SAMPLES points plus
+    golden-section polish around the ten best candidates; the polished
+    result never loses to a sampled value.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     if hi < lo:
         raise ValueError("empty interval")
     if hi == lo:
         return float(g(lo)), lo
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, _WINDOW_SAMPLES)
     vals = _eval_many(g, xs)
     sign = 1.0 if mode == "max" else -1.0
     order = np.argsort(sign * vals)[::-1][:10]
@@ -464,12 +453,10 @@ def _verdict(w: _Planned, worst: float, point: float) -> WindowCheck:
     )
 
 
-def _judge(plans: Sequence[list], samples: int) -> list:
+def _judge(plans: Sequence[list]) -> list:
     """One WindowCheck list per plan.  window_extremum runs once per
     distinct window across all plans, in plan order, so the first failing
     evaluation is the one a window-by-window pass would hit."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     done: dict = {}  # window -> (worst value, abscissa)
     out = []
     for plan in plans:
@@ -477,7 +464,7 @@ def _judge(plans: Sequence[list], samples: int) -> list:
         for w in plan:
             key = w.window
             if key not in done:
-                done[key] = window_extremum(w.g, w.lo, w.hi, w.mode, samples)
+                done[key] = window_extremum(w.g, w.lo, w.hi, w.mode)
             extremum = done[key]
             checks.append(_verdict(w, *extremum))
         out.append(checks)
@@ -572,46 +559,29 @@ def check_windows(
     WindowCheck list per set; a window the sets share is evaluated once."""
     plan = WINDOW_FAMILIES[which].plan
     plans = [plan(g_list, *window_values, cs) for cs in constant_sets]
-    return _judge(plans, _WINDOW_SAMPLES)
+    return _judge(plans)
 
 
-def check_krasnoselskii(
-    g_list: Sequence[Callable],
-    a1: float,
-    a2: float,
-    constants: ConstantsSet,
-    samples: int = _WINDOW_SAMPLES,
-) -> list:
+def check_krasnoselskii(g_list: Sequence[Callable], a1: float, a2: float,
+                        constants: ConstantsSet) -> list:
     """Upper window g <= C*a2 on [0, a2] and lower window g >= Q1*a1 on
     [0, a1]; the upper constant follows the summability case."""
-    return _judge([_plan_krasnoselskii(g_list, a1, a2, constants)], samples)[0]
+    return check_windows("krasnoselskii", g_list, (a1, a2), [constants])[0]
 
 
-def check_avery_henderson(
-    g_list: Sequence[Callable],
-    a_prime: float,
-    b_prime: float,
-    c_prime: float,
-    constants: ConstantsSet,
-    samples: int = _WINDOW_SAMPLES,
-) -> list:
+def check_avery_henderson(g_list: Sequence[Callable], a_prime: float, b_prime: float,
+                          c_prime: float, constants: ConstantsSet) -> list:
     """Three windows per nonlinearity: g > c'/k1 on [c', c'/wp],
     g < b'/k_upper on [0, b'/wp], g > a'/k1 on [a', a'/wp]."""
-    plan = _plan_avery_henderson(g_list, a_prime, b_prime, c_prime, constants)
-    return _judge([plan], samples)[0]
+    values = (a_prime, b_prime, c_prime)
+    return check_windows("avery-henderson", g_list, values, [constants])[0]
 
 
-def check_leggett_williams(
-    g_list: Sequence[Callable],
-    a_prime: float,
-    b_prime: float,
-    c_prime: float,
-    constants: ConstantsSet,
-    samples: int = _WINDOW_SAMPLES,
-) -> list:
+def check_leggett_williams(g_list: Sequence[Callable], a_prime: float, b_prime: float,
+                           c_prime: float, constants: ConstantsSet) -> list:
     """g < a'/O1 on [0, a'], g > b'/O2 on [b', c'], g < c'/O1 on [0, c']."""
-    plan = _plan_leggett_williams(g_list, a_prime, b_prime, c_prime, constants)
-    return _judge([plan], samples)[0]
+    values = (a_prime, b_prime, c_prime)
+    return check_windows("leggett-williams", g_list, values, [constants])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +600,6 @@ def contraction_constants(
     n: int,
     p: float,
     q: float,
-    tol: float = 1e-9,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
 ) -> dict:
     """Left side of the two-metric contraction condition,
 
@@ -646,20 +614,20 @@ def contraction_constants(
         raise ValueError("Lipschitz bound must be nonnegative")
     if n < 1:
         raise ValueError("system size must be >= 1")
-    if not (p > 1 and q > 1) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+    if not (p > 1 and q > 1 and holder_conjugate_check([p], q)):
         raise ConjugateExponentError("need p, q > 1 with 1/p + 1/q = 1")
     pref = weight_bundle(ws, ts, params)[0]
     if K == 0.0:
         return {
-            label: IntegralResult(0.0, 0.0, CONVERGED, [(min(cutoffs), 0.0)])
+            label: IntegralResult(0.0, 0.0, CONVERGED, [(min(DEFAULT_CUTOFFS), 0.0)])
             for label, _ in _CONTRACTION_VARIANTS
         }
 
     def ups(t):
         return np.abs(np.asarray(upsilon(t, params, ws, ts)))
 
-    I1 = integrate(ups, tol=tol, cutoffs=cutoffs)
-    Nq = p_norm(ups, q, tol=tol, cutoffs=cutoffs)
+    I1 = integrate(ups, tol=_TOL)
+    Nq = p_norm(ups, q, tol=_TOL)
     nq_trace = dict(Nq.cutoff_trace)
     status = _worst(I1.status, Nq.status)
     rel = 0.0
@@ -692,26 +660,20 @@ def contraction_constant(
     n: int,
     p: float,
     q: float,
-    include_wp: bool = False,
-    tol: float = 1e-9,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
 ) -> IntegralResult:
-    """One variant of contraction_constants: with the wp factor when
-    include_wp, else without (the default)."""
-    both = contraction_constants(params, ws, ts, K, n, p, q, tol=tol, cutoffs=cutoffs)
-    return both["with_wp" if include_wp else "without_wp"]
+    """The variant of contraction_constants without the wp factor, the one
+    the worked example uses."""
+    return contraction_constants(params, ws, ts, K, n, p, q)["without_wp"]
 
 
-def lipschitz_estimate(
-    g: Callable, interval: tuple, samples: int = 10001
-) -> float:
-    """Largest finite-difference slope over a stratified sample of the
-    interval, refined near the steepest pairs; a lower estimate of the best
-    Lipschitz constant."""
+def lipschitz_estimate(g: Callable, interval: tuple) -> float:
+    """Largest finite-difference slope over a stratified sample of
+    _WINDOW_SAMPLES points of the interval, refined near the steepest pairs;
+    a lower estimate of the best Lipschitz constant."""
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValueError("interval must have positive length")
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, _WINDOW_SAMPLES)
     vals = _eval_many(g, xs)
     slopes = np.abs(np.diff(vals) / np.diff(xs))
     best = float(slopes.max())

@@ -10,6 +10,8 @@ loudly instead of silently skipping a check):
     windows:  a1, a2 | a_prime, b_prime, c_prime | K
 
 Weight factors are expressions in t, nonlinearities in u (see exprlang).
+Every number must be finite, except the Holder exponents weights.p and
+numerics.q, which may be Infinity; NaN and -Infinity are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ _NUMERICS_DEFAULTS = {
 }
 
 
-def _require_number(section: str, key: str, value) -> float:
+def _require_number(section: str, key: str, value, infinite_ok: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if math.isnan(number):
+        raise ConfigError(f"{section}.{key} must not be NaN")
+    if math.isinf(number) and not (infinite_ok and number > 0):
+        raise ConfigError(f"{section}.{key} must be finite, got {number!r}")
+    return number
 
 
 def _require_int(section: str, key: str, value) -> int:
@@ -146,7 +153,7 @@ def config_from_dict(doc: dict) -> AppConfig:
                 raise ConfigError("weights.p must list one exponent per factor")
             p_exp = tuple(
                 math.inf if str(v).lower() in ("inf", "infinity") else
-                _require_number("weights", "p", v)
+                _require_number("weights", "p", v, infinite_ok=True)
                 for v in p_list
             )
             lb = weights_doc.get("lower_bounds")
@@ -180,8 +187,10 @@ def config_from_dict(doc: dict) -> AppConfig:
     _check_keys("numerics", numerics_doc)
     numerics = dict(_NUMERICS_DEFAULTS)
     for key, value in numerics_doc.items():
-        read = _require_int if key in ("grid_size", "max_iter") else _require_number
-        numerics[key] = read("numerics", key, value)
+        if key in ("grid_size", "max_iter"):
+            numerics[key] = _require_int("numerics", key, value)
+        else:
+            numerics[key] = _require_number("numerics", key, value, infinite_ok=key == "q")
     if numerics["grid_size"] < 16:
         raise ConfigError("numerics.grid_size must be >= 16")
     if not (0.0 < numerics["cutoff"] < 1.0):

@@ -238,13 +238,15 @@ class BoundReport:
         }
 
 
-def verify_kernel_bounds(
-    p: KernelParams, grid_size: int = 101, tol: float = 1e-12
-) -> BoundReport:
+_BOUND_TOL = 1e-12  # absolute tolerance of the three kernel bounds
+
+
+def verify_kernel_bounds(p: KernelParams, grid_size: int = 101) -> BoundReport:
     """Check the three kernel bounds on the uniform grid {i/(grid_size-1)}^2.
 
     (i) Xi >= 0, (ii) Xi(s,t) <= Xi(t,t), (iii) floor * Xi(t,t) <= Xi(s,t)
-    with floor = cone_floor (see its docstring for why not wp).
+    with floor = cone_floor (see its docstring for why not wp), each within
+    the absolute tolerance 1e-12 that BoundReport.tol reports.
 
     O(m) time and memory: in each column Xi(s,t)/Xi(t,t) is phi(s)/phi(t)
     above the diagonal and psi(s)/psi(t) below it, with phi nondecreasing
@@ -253,7 +255,7 @@ def verify_kernel_bounds(
     row 0 or row m-1; only those ~4m entries are evaluated, with
     kernel_matrix's expression.  The figures equal the dense m x m check's
     except on near-flat kernels (alpha = gamma = 0, r0 <= 1e-5, Xi ~ 1e12),
-    where one ulp of Xi exceeds tol and neither route's verdict means much.
+    where one ulp of Xi exceeds 1e-12 and neither route's verdict means much.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -265,10 +267,10 @@ def verify_kernel_bounds(
     neg = max(0.0, -float(min(diag.min(), adjacent.min(), column_min.min())))
     excess = float(max((adjacent - diag[1:]).max(), (adjacent - diag[:-1]).max()))
     lower = float((floor * diag - column_min).max())
-    passed = (neg <= tol, excess <= tol, lower <= tol)
+    passed = (neg <= _BOUND_TOL, excess <= _BOUND_TOL, lower <= _BOUND_TOL)
     return BoundReport(
         grid_size=grid_size,
-        tol=tol,
+        tol=_BOUND_TOL,
         wp_used=floor,
         max_negativity=neg,
         max_excess_over_diagonal=max(0.0, excess),

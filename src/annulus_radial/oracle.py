@@ -7,9 +7,12 @@ point.  green_consistency is the comparison harness and the only place here
 that evaluates the kernel.
 
 With pure Neumann ends (alpha = gamma = 0) the matrix tends to a singular
-one as r0 -> 0 (constants span its null space): for r0 below about 1e-4 the
-float64 solve is ill-conditioned, and where the last pivot cancels to
-exactly 0 it raises ValueError.
+one as r0 -> 0 (constants span its null space), and the last pivot, about
+r0^2 (m - 1), sinks into the rounding error of entries of size 1/h^2.  The
+solve raises ValueError when that pivot is under 100 times its
+rounding-error bound, which for pure Neumann ends happens below r0 of about
+3.2e-7 m (6.7e-4 at m = 2122, 4e-5 at m = 129); a last pivot of exactly 0
+raises as such.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .kernel import KernelParams, kernel_eval
 __all__ = ["LinearBVP", "solve_linear_fd", "build_system", "green_consistency"]
 
 _N_GAUSS = 64  # Gauss-Legendre points per panel of the Green representation
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,14 @@ def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Every pivot of build_system's matrix but the last is at least 1/h^2,
     the size of the subdiagonal entry below it, so LAPACK's dgtsv swaps no
-    row either and this sweep repeats its arithmetic step for step.  A last
-    pivot of exactly 0 raises ValueError.
+    row either and this sweep repeats its arithmetic step for step.
+
+    For the same reason an error in one pivot reaches the next damped by
+    dl du / d^2 <= 1, so the rounding errors of the diagonal entries D and
+    of the steps add up to at most 3u sum(D + |D - d|) in the last pivot
+    (first order, unit roundoff u, pivots d).  A last pivot of exactly 0, or
+    under 100 times that bound (fewer than two of its digits certain),
+    raises ValueError.
     """
     du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
     u = b.tolist()
@@ -104,6 +114,13 @@ def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
         u[i + 1] -= fact * u[i]
     if d[-1] == 0.0:
         raise ValueError("singular FD system: the last pivot is 0")
+    diag = ab[1]
+    bound = 3.0 * _UNIT_ROUNDOFF * float(np.sum(diag + np.abs(diag - d)))
+    if abs(d[-1]) < 100.0 * bound:
+        raise ValueError(
+            f"near-singular FD system: the last pivot {d[-1]:.3g} is under 100 "
+            f"times its rounding-error bound {bound:.3g}"
+        )
     u[-1] /= d[-1]
     for i in range(len(du) - 1, -1, -1):
         u[i] = (u[i] - du[i] * u[i + 1]) / d[i]

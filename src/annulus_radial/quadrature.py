@@ -391,8 +391,14 @@ def p_norm(
     return IntegralResult(norm, err, inner.status, trace, inner.exponent_estimate)
 
 
-def holder_conjugate_check(p_list: Sequence[float], q: float, tol: float = 1e-12) -> bool:
-    """True iff sum(1/p_i) + 1/q == 1 within tol (infinities contribute 0)."""
-    total = sum(0.0 if math.isinf(p) else 1.0 / p for p in p_list)
-    total += 0.0 if math.isinf(q) else 1.0 / q
-    return abs(total - 1.0) <= tol
+_HOLDER_TOL = 1e-12  # the conjugacy identity's tolerance
+
+
+def _reciprocal_sum(exponents: Sequence[float]) -> float:
+    """sum(1/p) over the exponents; an infinite exponent contributes 0."""
+    return sum(0.0 if math.isinf(p) else 1.0 / p for p in exponents)
+
+
+def holder_conjugate_check(p_list: Sequence[float], q: float) -> bool:
+    """True iff sum(1/p_i) + 1/q == 1 within 1e-12 (infinities contribute 0)."""
+    return abs(_reciprocal_sum(p_list) + _reciprocal_sum((q,)) - 1.0) <= _HOLDER_TOL

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_EVAL_FLOOR = 1e-8
+_RESIDUAL_THRESHOLD = 0.1  # log10 units: rms residual of an unstable exponent fit
 
 
 class EstimationUnstableWarning(UserWarning):
@@ -216,20 +217,16 @@ def upsilon(t, params: KernelParams, ws: WeightSpec, ts: TransformSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def singularity_exponent(
-    ws: WeightSpec,
-    ts: TransformSpec,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
-    residual_threshold: float = 0.1,
-) -> float:
-    """Estimate e with weight(t) ~ c * t^e as t -> 0+ by a log-log slope fit.
+def singularity_exponent(ws: WeightSpec, ts: TransformSpec) -> float:
+    """Estimate e with weight(t) ~ c * t^e as t -> 0+ by a log-log slope fit
+    over the cutoff ladder DEFAULT_CUTOFFS.
 
     e <= -1 signals that the downstream integrals diverge at the endpoint.
-    Emits EstimationUnstableWarning when the fit residual exceeds the
-    threshold (in log10 units).
+    Emits EstimationUnstableWarning when the fit's rms residual exceeds 0.1
+    (in log10 units).
     """
     _, power, factors = weight_bundle(ws, ts)
-    t = np.asarray(sorted(cutoffs), dtype=float)
+    t = np.asarray(sorted(DEFAULT_CUTOFFS), dtype=float)
     vals = t ** power * _product(factors, t)
     if (vals <= 0).any():
         raise ValueError("exponent fit needs positive weight values")
@@ -239,9 +236,9 @@ def singularity_exponent(
     slope = float(coef[0])
     rss = float(residuals[0]) if len(residuals) else 0.0
     rms = (rss / len(t)) ** 0.5
-    if rms > residual_threshold:
+    if rms > _RESIDUAL_THRESHOLD:
         warnings.warn(
-            f"endpoint exponent fit residual {rms:.3g} exceeds {residual_threshold}",
+            f"endpoint exponent fit residual {rms:.3g} exceeds {_RESIDUAL_THRESHOLD}",
             EstimationUnstableWarning,
         )
     return slope

@@ -188,11 +188,11 @@ def solver_route(monkeypatch):
 
 
 def per_call_window(hypothesis_id, g_index, g, lo, hi, direction, bound,
-                    bound_note="", samples=10001):
+                    bound_note=""):
     """One window judged on its own extremum: the reference route for the
     planned, shared-extremum window judge in conditions."""
     mode = "max" if direction in ("<=", "<") else "min"
-    worst, point = window_extremum(g, lo, hi, mode, samples)
+    worst, point = window_extremum(g, lo, hi, mode)
     if bound is None or not math.isfinite(bound):
         return WindowCheck(
             hypothesis_id, g_index, (lo, hi), None, direction, worst, point,

@@ -75,7 +75,8 @@ def test_criterion_02_kernel_bound_certification(default_params):
         params.append(KernelParams(a, b, g, d, rng.uniform(0.1, 5.0), 3))
     worst = 0.0
     for p in params:
-        rep = verify_kernel_bounds(p, grid_size=101, tol=1e-12)
+        rep = verify_kernel_bounds(p, grid_size=101)
+        assert rep.tol == 1e-12
         assert rep.all_passed, p
         worst = max(
             worst,
@@ -157,8 +158,7 @@ def test_criterion_05_convergent_surrogate_oracle(default_params,
     assert rel_q1 <= 1e-8
 
     lhs = contraction_constant(
-        default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=2.0,
-        include_wp=False,
+        default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=2.0
     )
     oracle_lhs = composite_simpson(diag, 0.0, 1.0) * math.sqrt(
         composite_simpson(lambda t: diag(t) ** 2, 0.0, 1.0)
@@ -240,8 +240,7 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
         _record(tr_b)
         assert tr_b.converged
         alpha2 = contraction_constant(
-            default_params, synthetic_unit_weight, TS, K=0.01, n=1, p=2.0, q=2.0,
-            include_wp=False,
+            default_params, synthetic_unit_weight, TS, K=0.01, n=1, p=2.0, q=2.0
         )
         assert alpha2.status == CONVERGED and alpha2.value < 1.0
         ratio = tr_b.empirical_ratio

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import composite_simpson, count_calls, per_call_contraction_constant
 
 from annulus_radial import conditions
 from annulus_radial.conditions import (
     ConjugateExponentError,
+    _p_case,
     check_avery_henderson,
     check_krasnoselskii,
     check_leggett_williams,
@@ -19,9 +21,14 @@ from annulus_radial.conditions import (
     window_extremum,
 )
 from annulus_radial.exprlang import parse
-from annulus_radial.kernel import kernel_diag, wp
-from annulus_radial.quadrature import CONVERGED, DIVERGENT
-from annulus_radial.weights import TransformSpec
+from annulus_radial.kernel import KernelParams, kernel_diag, wp
+from annulus_radial.quadrature import (
+    CONVERGED,
+    DIVERGENT,
+    _reciprocal_sum,
+    holder_conjugate_check,
+)
+from annulus_radial.weights import TransformSpec, WeightSpec
 
 TS = TransformSpec(1.0, 3)
 
@@ -81,6 +88,71 @@ def test_conjugate_mismatch_raises(default_params, example1_weights):
         compute_constants(default_params, example1_weights, TS, q=2.0)
 
 
+# exponents >= 1: finite, infinite, and the partner that puts the
+# reciprocal sum within a few 1e-12 of 1 on either side
+_EXPONENT = st.one_of(st.floats(1.0, 1e6), st.just(math.inf))
+_NEAR_ONE = st.one_of(st.just(0.0), st.floats(-3e-12, 3e-12),
+                      st.sampled_from([-1e-12, 1e-12]).map(lambda d: d * (1 + 2**-40)),
+                      st.sampled_from([-1e-12, 1e-12]).map(lambda d: d * (1 - 2**-40)))
+
+
+@st.composite
+def _exponents_and_partner(draw):
+    p_list = draw(st.lists(_EXPONENT, min_size=1, max_size=3))
+    s = _reciprocal_sum(p_list)
+    gap = 1.0 - s + draw(_NEAR_ONE)
+    q = draw(st.one_of(st.floats(1.0, 1e6, exclude_min=True), st.just(math.inf),
+                       st.just(1.0 / gap) if 0.0 < gap < 1.0 else st.just(2.0)))
+    return p_list, q
+
+
+@st.composite
+def _exponents_near_one(draw):
+    """Exponents whose own reciprocal sum lies within a few 1e-12 of 1,
+    partnered with q = inf."""
+    head = draw(st.lists(_EXPONENT, max_size=2))
+    gap = 1.0 - _reciprocal_sum(head) + draw(_NEAR_ONE)
+    return head + [1.0 / gap if 0.0 < gap <= 1.0 else math.inf], math.inf
+
+
+class _Reached(Exception):
+    """The exponents passed validation and the weight was composed."""
+
+
+def _stop_at_weight(*args):
+    raise _Reached
+
+
+@given(st.one_of(_exponents_and_partner(), _exponents_near_one()))
+def test_conjugacy_is_one_decision(case):
+    p_list, q = case
+    ws = WeightSpec(factors=tuple(parse("1", "t") for _ in p_list),
+                    p_exponents=tuple(p_list))
+    conjugate = holder_conjugate_check(p_list, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "weight_bundle", _stop_at_weight)
+        with pytest.raises(ConjugateExponentError if not conjugate else _Reached):
+            compute_constants(KernelParams.default(), ws, TS, q)
+    # the summability case reads the same sum: "sum=1" is conjugacy with q = inf
+    case_of = _p_case(p_list)
+    assert (case_of == "sum=1") == holder_conjugate_check(p_list, math.inf)
+    if case_of != "sum=1":
+        assert (case_of == "sum<1") == (_reciprocal_sum(p_list) < 1.0)
+
+
+@given(st.one_of(st.floats(1e-3, 1e6), st.just(math.inf)),
+       st.one_of(st.floats(1e-3, 1e6), st.just(math.inf)), _NEAR_ONE)
+def test_contraction_conjugacy_is_holder_check(p, q, delta):
+    gap = 1.0 - _reciprocal_sum([p]) + delta
+    for q in (q, 1.0 / gap if gap > 0.0 else math.inf):
+        valid = p > 1 and q > 1 and holder_conjugate_check([p], q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "weight_bundle", _stop_at_weight)
+            with pytest.raises(_Reached if valid else ConjugateExponentError):
+                contraction_constants(KernelParams.default(), WeightSpec(
+                    synthetic_override=parse("1", "t")), TS, 1.0, 1, p, q)
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
@@ -132,13 +204,14 @@ def test_extremum_monotone_under_interval_growth():
     assert sup_big >= sup_small - 1e-12
 
 
-def test_verdicts_stable_under_refinement(default_params):
+def test_verdicts_stable_under_refinement(default_params, monkeypatch):
     g = parse("1+cos(1+u)/5+1/(1+u)", "u")
     constants = injected_constants(
         {"Q1": 0.1153270463e-4, "Q2": 0.4577977612e-7}, wp_value=1.0 / math.e
     )
-    coarse = check_krasnoselskii([g], 1e3, 1e8, constants, samples=10001)
-    fine = check_krasnoselskii([g], 1e3, 1e8, constants, samples=20001)
+    coarse = check_krasnoselskii([g], 1e3, 1e8, constants)
+    monkeypatch.setattr(conditions, "_WINDOW_SAMPLES", 20001)
+    fine = check_krasnoselskii([g], 1e3, 1e8, constants)
     for a, b in zip(coarse, fine):
         assert a.verdict == b.verdict
 
@@ -218,24 +291,6 @@ def test_window_parameter_ordering_enforced():
         check_krasnoselskii([parse("1", "u")], 2.0, 1.0, constants)
 
 
-@pytest.mark.parametrize("samples", [-1, 0, 1])
-def test_fewer_than_two_samples_is_a_value_error(samples):
-    g = parse("u", "u")
-    constants = injected_constants(
-        {"Q1": 1.0, "Q2": 1.0, "k1": 1.0, "k2": 1.0, "O1": 1.0, "O2": 1.0},
-        wp_value=0.5,
-    )
-    calls = [
-        lambda: window_extremum(g, 0.0, 1.0, "max", samples),
-        lambda: check_krasnoselskii([g], 1.0, 2.0, constants, samples=samples),
-        lambda: check_avery_henderson([g], 1.0, 2.0, 3.0, constants, samples=samples),
-        lambda: check_leggett_williams([g], 1.0, 2.0, 3.0, constants, samples=samples),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="samples must be at least 2"):
-            call()
-
-
 def test_shared_windows_are_evaluated_once(monkeypatch):
     constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
     extrema = count_calls(monkeypatch, conditions, "window_extremum")
@@ -261,7 +316,7 @@ def test_window_evaluation_error_comes_from_the_first_window(monkeypatch):
     constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
     seen = []
 
-    def failing(g, lo, hi, mode, samples):
+    def failing(g, lo, hi, mode):
         seen.append((lo, hi, mode))
         raise RuntimeError("window failed")
 
@@ -290,7 +345,7 @@ def test_contraction_variants_share_one_integral_pass(
     for label, include_wp in (("without_wp", False), ("with_wp", True)):
         ref = per_call_contraction_constant(*args, include_wp=include_wp)
         assert both[label].to_dict() == ref.to_dict()
-        assert contraction_constant(*args, include_wp=include_wp).to_dict() == ref.to_dict()
+    assert contraction_constant(*args).to_dict() == both["without_wp"].to_dict()
 
 
 
@@ -317,11 +372,10 @@ def test_contraction_synthetic_matches_brute_force(
 
 
 def test_contraction_example4_reports_divergence(default_params, example4_weights):
-    for include_wp in (False, True):
-        res = contraction_constant(
-            default_params, example4_weights, TS, K=1e-4, n=2, p=2.0, q=2.0,
-            include_wp=include_wp,
-        )
+    both = contraction_constants(
+        default_params, example4_weights, TS, K=1e-4, n=2, p=2.0, q=2.0
+    )
+    for res in both.values():
         assert res.status == DIVERGENT
         assert res.exponent_estimate is not None
         assert res.exponent_estimate <= -1.0
@@ -332,10 +386,9 @@ def test_contraction_wp_factor_scales(default_params, synthetic_unit_weight):
     base = contraction_constant(
         default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=2.0
     )
-    with_wp = contraction_constant(
-        default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=2.0,
-        include_wp=True,
-    )
+    with_wp = contraction_constants(
+        default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=2.0
+    )["with_wp"]
     assert with_wp.value == pytest.approx(
         base.value * wp(default_params) ** 2, rel=1e-12
     )

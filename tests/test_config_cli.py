@@ -122,6 +122,62 @@ def test_infinite_exponent_accepted():
     assert math.isinf(cfg.weights.p_exponents[0])
 
 
+def _full_config():
+    """minimal_config with a factor weight, annulus radii and every window
+    parameter: one config that holds every numeric field."""
+    doc = minimal_config()
+    doc["kernel"].update({"R1": 1.0, "R2": 3.0})
+    doc["weights"] = {"factors": ["1/(t+1)"], "p": [2], "lower_bounds": [0.5]}
+    doc["windows"] = {"a1": 1.0, "a2": 2.0, "a_prime": 1.0, "b_prime": 2.0,
+                      "c_prime": 3.0, "K": 0.1}
+    return doc
+
+
+def _numeric_fields(doc):
+    """(section, key, whether the value is a list) for every number in doc."""
+    for section, body in doc.items():
+        for key, value in body.items():
+            if isinstance(value, list) and isinstance(value[0], (int, float)):
+                yield section, key, True
+            elif isinstance(value, (int, float)):
+                yield section, key, False
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_config_errors(value):
+    fields = list(_numeric_fields(_full_config()))
+    assert len(fields) == 23
+    for section, key, in_list in fields:
+        doc = _full_config()
+        if in_list:
+            doc[section][key][0] = value
+        else:
+            doc[section][key] = value
+        if value == math.inf and (section, key) in (("numerics", "q"), ("weights", "p")):
+            config_from_dict(doc)  # the Holder exponents may be +infinite
+            continue
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must "):
+            config_from_dict(doc)
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    (["check", "--which", "uniqueness"], "windows", "K", math.nan),
+    (["check", "--which", "uniqueness"], "windows", "K", math.inf),
+    (["solve"], "numerics", "tol", math.nan),
+    (["solve"], "numerics", "tol", math.inf),
+    (["check", "--which", "krasnoselskii"], "windows", "a2", math.inf),
+])
+def test_cli_non_finite_number_is_exit_2(command, section, key, value, tmp_path, capsys):
+    doc = minimal_config()
+    doc["windows"] = {"a1": 1.0, "a2": 2.0, "K": 0.1}
+    doc[section][key] = value  # written as NaN or Infinity
+    path = write_config(tmp_path, doc)
+    assert cli.main([command[0], "--config", path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {section}.{key} must " in captured.err
+
+
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

@@ -155,6 +155,21 @@ def test_pure_neumann_small_r0_names_the_singular_pivot(r0):
         green_consistency(p, lambda t: 1.0 + np.sin(3.0 * t), 2122)
 
 
+def test_pure_neumann_near_singular_pivot_raises():
+    # at r0 = 1e-4 the FD solution is 7e-2 off the Green representation; the
+    # last pivot, ~2e-5, is within 100 times its rounding-error bound ~1e-5
+    rhs = lambda t: 1.0 + np.sin(3.0 * np.asarray(t))
+    p = KernelParams(0.0, 1.0, 0.0, 1.0, 1e-4, 3)
+    with pytest.raises(ValueError, match="near-singular FD system: the last pivot .* "
+                                         "under 100 times its rounding-error bound"):
+        green_consistency(p, rhs, 2122)
+    # at r0 = 0.1 the two routes agree to 4.4e-8 relative, as before
+    p = KernelParams(0.0, 1.0, 0.0, 1.0, 0.1, 3)
+    u = solve_linear_fd(LinearBVP(p, rhs, 2122)).values
+    err = green_consistency(p, rhs, 2122)
+    assert err <= 1e-7 * np.max(np.abs(u))
+
+
 @pytest.mark.parametrize("ends", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
                          ids=["robin", "dirichlet-left", "dirichlet-right", "dirichlet"])
 def test_green_representation_matches_per_node_route(ends):
