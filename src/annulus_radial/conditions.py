@@ -363,6 +363,7 @@ _WINDOW_SAMPLES = 10001  # grid points of a window extremum or Lipschitz estimat
 def _golden(g: Callable, a: float, b: float, sign: float) -> tuple:
     """Golden-section refinement of sign*g (sign=+1 maximizes), at most 80
     steps."""
+    a, b = float(a), float(b)  # Python floats: no numpy scalar arithmetic
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc = sign * float(g(c))
@@ -486,7 +487,15 @@ _UPPER_BY_CASE = {"sum<1": ("J4", "Q2"), "sum=1": ("J6", "N2"), "sum>1": ("J7", 
 _AH_UPPER_BY_CASE = {"sum<1": ("J9", "k2"), "sum=1": ("J9'", "k3"), "sum>1": ("J9''", "k4")}
 
 
+def _require_finite(values: dict) -> None:
+    """ValueError naming the first non-finite entry of {name: value}."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _plan_krasnoselskii(g_list, a1, a2, constants) -> list:
+    _require_finite({"a1": a1, "a2": a2})
     if not 0 < a1 < a2:
         raise ValueError("need 0 < a1 < a2")
     upper_id, upper_name = _UPPER_BY_CASE[constants.p_case]
@@ -501,6 +510,7 @@ def _plan_krasnoselskii(g_list, a1, a2, constants) -> list:
 
 
 def _plan_avery_henderson(g_list, a_prime, b_prime, c_prime, constants) -> list:
+    _require_finite({"a'": a_prime, "b'": b_prime, "c'": c_prime})
     if not 0 < a_prime < b_prime < c_prime:
         raise ValueError("need 0 < a' < b' < c'")
     w = constants.wp
@@ -520,6 +530,7 @@ def _plan_avery_henderson(g_list, a_prime, b_prime, c_prime, constants) -> list:
 
 
 def _plan_leggett_williams(g_list, a_prime, b_prime, c_prime, constants) -> list:
+    _require_finite({"a'": a_prime, "b'": b_prime, "c'": c_prime})
     if not 0 < a_prime < b_prime < c_prime:
         raise ValueError("need 0 < a' < b' < c'")
     plan = []
@@ -610,6 +621,7 @@ def contraction_constants(
     reports both.  One pass computes the two Y integrals for both variants,
     and their divergence statuses propagate.
     """
+    _require_finite({"Lipschitz bound K": K})
     if K < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
     if n < 1:
@@ -671,6 +683,7 @@ def lipschitz_estimate(g: Callable, interval: tuple) -> float:
     _WINDOW_SAMPLES points of the interval, refined near the steepest pairs;
     a lower estimate of the best Lipschitz constant."""
     lo, hi = float(interval[0]), float(interval[1])
+    _require_finite({"interval start": lo, "interval end": hi})
     if hi <= lo:
         raise ValueError("interval must have positive length")
     xs = np.linspace(lo, hi, _WINDOW_SAMPLES)

@@ -112,8 +112,9 @@ class Expr:
         return out
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
-            return self.eval(float(x))
+        # a float (np.float64 included) skips np.ndim's dispatch
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return self.eval(x)
         return self.eval_array(x)
 
     def __str__(self) -> str:

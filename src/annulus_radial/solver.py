@@ -31,14 +31,15 @@ only to a module-level thread pool, made on first use, with as many
 threads as this process may use CPUs, at most _MAX_WORKERS.  The calling
 thread keeps everything else: every public library call (weight_ell,
 trapezoid_weights, kernel.phi/psi, the nonlinearities), the prefix sweep
-of each kernel fold and the ell-weighted weights w.  The pool runs the
-suffix sweep of each fold and the longdouble phi/psi fill, one block per
-task.  Workers allocate nothing: they write into slices of phi, psi and
-the fold's output, and into block buffers that the calling thread
-allocated.  Every operation is the one the inline route performs, in the
-same order, so every float64 and longdouble number is the same bit for
-bit.  With one CPU or one block, the same per-block functions run inline;
-a child made by fork() makes its own pool.
+of each kernel fold, the ell-weighted weights w, and the table and anchors
+of the longdouble phi/psi (a few thousand expm1 points).  The pool runs the
+suffix sweep of each fold and the longdouble phi/psi rotation from those
+anchors, one block per task.  Workers allocate nothing: they write into
+slices of phi, psi and the fold's output, and into buffers that the
+calling thread allocated.  Every operation is the one the inline route
+performs, in the same order, so every float64 and longdouble number is the
+same bit for bit.  With one CPU or one block, the same per-block functions
+run inline; a child made by fork() makes its own pool.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class ProblemSpec:
             raise ValueError("cutoff must lie in (0, 1)")
         if self.cutoff < self.weights.eval_floor:
             raise ValueError("cutoff below the weight evaluation floor")
+        if not math.isfinite(self.metric_p):
+            raise ValueError(f"metric exponent must be finite, got {self.metric_p!r}")
         if not self.metric_p > 1.0:
             raise ValueError("metric exponent must exceed 1")
         # a factor weight's transform must carry the kernel's r0 and N
@@ -216,23 +219,74 @@ def _together(here, tasks: list, buffers, inline: bool) -> None:
         future.result()
 
 
-def _sinh_cosh(y: np.ndarray, sh: np.ndarray, e: np.ndarray) -> tuple:
-    """(sinh y, cosh y) for y >= 0 from a single expm1 pass in y's dtype,
-    written into sh and over y; e is a third buffer of y's size.
+def _sinh_coshm1(y: np.ndarray) -> tuple:
+    """(sinh y, cosh y - 1) for y >= 0 from a single expm1 pass in y's dtype;
+    cosh y - 1 is written over y.
 
-    With em = expm1(y): sinh y = (em + em/(1+em))/2, cosh y = ((1+em) +
-    1/(1+em))/2.  Neither sum cancels, unlike E - 1/E with E = exp(y), which
+    With em = expm1(y): sinh y = (em + em/(1+em))/2 and cosh y - 1 =
+    em^2/(2(1+em)).  Neither cancels, unlike E - 1/E with E = exp(y), which
     loses sinh's relative accuracy as y -> 0.
     """
     em = np.expm1(y, out=y)
-    np.add(1.0, em, out=e)
-    np.divide(em, e, out=sh)
-    np.add(em, sh, out=sh)
+    e = 1.0 + em
+    sh = em / e
+    sh += em
     sh *= 0.5
-    ch = np.divide(1.0, e, out=y)
-    np.add(e, ch, out=ch)
-    ch *= 0.5
-    return sh, ch
+    em *= em
+    e *= 2.0
+    em /= e
+    return sh, em
+
+
+# The longdouble phi/psi run from an anchor every this many nodes, counted
+# from node 0 for phi and from node m-1 for psi.  A power of two (the
+# rotation table's split relies on it), and independent of _BLOCK, so every
+# block split gives the same values bit for bit.
+_SEGMENT = 1 << 12
+
+
+def _rotation_table(t, n: int) -> tuple:
+    """(sinh, cosh - 1) at the exact products k*t, k < n <= _SEGMENT.
+
+    fl(k*t) misses k*t by up to half an ulp, which sinh and cosh amplify
+    like k*t does (16 eps at k*t = 50).  So t splits into a head whose
+    products with k < _SEGMENT are exact and a short tail, the rounding d of
+    each sum is kept, and the table takes it in to first order: sinh(y+d) =
+    sinh y + d cosh y and cosh(y+d) - 1 = (cosh y - 1) + d sinh y; d^2 is
+    below eps^2 y^2.
+    """
+    c = t * (_SEGMENT + 1)
+    head = c - (c - t)  # log2(_SEGMENT) bits shorter than t (Veltkamp)
+    d = np.arange(n, dtype=t.dtype)
+    tail = d * (t - head)
+    d *= head  # exact
+    y = d + tail
+    d -= y
+    d += tail  # the rounding of y
+    sh, chm1 = _sinh_coshm1(y)
+    fix = chm1 + 1.0
+    fix *= d
+    d *= sh
+    chm1 += d
+    sh += fix
+    return sh, chm1
+
+
+def _rotate(out, anchors, table, start: int, tmp) -> None:
+    """Fill out[i] = A + (A*(cosh - 1) + B*sinh) for the nodes start,
+    start + 1, ... counted from the anchor end, with (A, B) the anchor pair
+    of the node's segment and the table row of its offset in it; numpy only
+    and into tmp, so it may run on a worker."""
+    (a_values, b_values), (sh, chm1) = anchors, table
+    stop = start + out.size
+    for j in range(start // _SEGMENT, (stop - 1) // _SEGMENT + 1):
+        lo, hi = max(start, j * _SEGMENT), min(stop, (j + 1) * _SEGMENT)
+        o, part = out[lo - start:hi - start], tmp[:hi - lo]
+        k = slice(lo - j * _SEGMENT, hi - j * _SEGMENT)
+        np.multiply(chm1[k], a_values[j], out=o)
+        np.multiply(sh[k], b_values[j], out=part)
+        o += part
+        o += a_values[j]
 
 
 class _Assembled:
@@ -241,14 +295,24 @@ class _Assembled:
     extended=True runs the kernel folds in numpy's longdouble: the component
     values then carry sub-float64 representation noise, which is what a
     second-difference defect check needs on fine grids (the float64 ulp of
-    the values alone contributes ~4*ulp(u)/h^2 of defect noise).  Its phi/psi
-    take one expm1 pass per factor (_sinh_cosh).  The float64 path keeps
-    kernel.phi/kernel.psi bit for bit: at m = 1e6 a 1- or 2-ulp change there
-    moves the solve report's relative defect by 2-5%, against its 1e-3 gate.
+    the values alone contributes ~4*ulp(u)/h^2 of defect noise).  The float64
+    path keeps kernel.phi/kernel.psi bit for bit: at m = 1e6 a 1- or 2-ulp
+    change there moves the solve report's relative defect by 2-5%, against
+    its 1e-3 gate.
+
+    The longdouble phi/psi come by rotation.  Both solve u'' = r0^2 u, so
+    phi(x + d) = phi(x) cosh(r0 d) + (phi'(x)/r0) sinh(r0 d), and psi obeys
+    the same law leftwards with -psi'/r0.  The expm1 passes (_sinh_coshm1)
+    see one table of _SEGMENT offsets and an anchor pair per _SEGMENT nodes
+    and factor: _SEGMENT + 2*ceil(m/_SEGMENT) points, 4,586 at m = 1e6
+    against 2m for one pass per node and factor.  A node's value is the
+    factor at its anchor plus whole grid steps, not at its own rounded
+    abscissa; the two differ by that rounding times the factor's slope.
 
     phi, psi and the ell-weighted trapezoid weights w are filled one block
-    at a time; ell itself is never held for the whole grid.  The longdouble
-    phi/psi blocks are filled on the pool while the calling thread fills w.
+    at a time; ell itself is never held for the whole grid.  The calling
+    thread makes the rotation's table and anchors, then the pool fills the
+    longdouble phi/psi blocks from them while the calling thread fills w.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -269,9 +333,10 @@ class _Assembled:
         self.phi, self.psi, self.w = (np.empty_like(self.nodes) for _ in range(3))
         self.root = np.sqrt(dtype(varrho(spec.kernel)))
         if extended:
+            rotation = self._rotation()
             _together(self._weights,
-                      [partial(self._factors, a, b) for a, b in self.blocks],
-                      lambda: self._block_buffers(3), self.inline)
+                      [partial(self._rotated, a, b, rotation) for a, b in self.blocks],
+                      lambda: (np.empty(min(_SEGMENT, m), dtype),), self.inline)
         else:
             self._weights()
             k = spec.kernel
@@ -294,25 +359,52 @@ class _Assembled:
                 out=self.w[a:b],
             )
 
-    def _factors(self, a: int, b: int, y, sh, e) -> None:
-        """Fill the longdouble phi/psi of block [a, b) through the block
-        buffers y, sh and e; numpy only, so it may run on a worker."""
-        k = self.spec.kernel
-        x = self.nodes[a:b]
-        y, sh, e = y[:b - a], sh[:b - a], e[:b - a]
+    def _rotation(self) -> tuple:
+        """(phi anchors, psi anchors, table) of the longdouble fill.
 
-        def factor(out, c_sh, c_ch):
-            # out = (c_sh sinh y + c_ch cosh y) / root, y in buffer y
-            s, c = _sinh_cosh(y, sh, e)
-            s *= c_sh
-            c *= c_ch
-            np.add(s, c, out=out)
-            np.divide(out, self.root, out=out)
+        The table holds sinh and cosh - 1 at k*r0*step for k < _SEGMENT,
+        with the grid's own step (x[m-1] - x[0])/(m-1): x[1] - x[0] carries
+        the rounding of both nodes, and segments built on it drift apart.
+        An anchor pair is (phi, phi'/r0) at each segment's left end, resp.
+        (psi, -psi'/r0) at its right end, divided by sqrt(varrho); every
+        term is nonnegative, so nothing cancels, with Dirichlet ends too.
 
-        np.multiply(k.r0, x, out=y)
-        factor(self.phi[a:b], k.alpha, k.beta * k.r0)
-        np.multiply(k.r0, np.subtract(1.0, x, out=y), out=y)
-        factor(self.psi[a:b], k.gamma, k.delta * k.r0)
+        Both are built in place: their short-lived blocks land on the heap
+        between the m-long arrays, and with a dozen more of them the
+        fine-grid benchmark's peak RSS sat 7 MB higher (glibc heap layout,
+        not live memory: with a fixed mmap threshold both read the same).
+        """
+        k, x = self.spec.kernel, self.nodes
+        m = x.size
+
+        def pair(y, c_sh, c_ch):
+            # (c_sh sinh + c_ch cosh, c_sh cosh + c_ch sinh) / root at r0*y
+            y *= k.r0
+            sh, ch = _sinh_coshm1(y)
+            ch += 1.0
+            a = sh * c_sh
+            b = ch * c_sh
+            ch *= c_ch
+            a += ch
+            sh *= c_ch
+            b += sh
+            a /= self.root
+            b /= self.root
+            return a, b
+
+        step = (x[-1] - x[0]) / (m - 1)
+        return (
+            pair(x[::_SEGMENT].copy(), k.alpha, k.beta * k.r0),
+            pair(1.0 - x[::-1][::_SEGMENT], k.gamma, k.delta * k.r0),
+            _rotation_table(k.r0 * step, min(_SEGMENT, m)),
+        )
+
+    def _rotated(self, a: int, b: int, rotation: tuple, tmp) -> None:
+        """Fill the longdouble phi/psi of block [a, b) from the anchors;
+        numpy only, so it may run on a worker."""
+        phi_anchors, psi_anchors, table = rotation
+        _rotate(self.phi[a:b], phi_anchors, table, a, tmp)
+        _rotate(self.psi[a:b][::-1], psi_anchors, table, self.nodes.size - b, tmp)
 
     def kernel_fold(self, c: np.ndarray) -> np.ndarray:
         """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t).

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -291,6 +293,38 @@ def test_window_parameter_ordering_enforced():
         check_krasnoselskii([parse("1", "u")], 2.0, 1.0, constants)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_window_values_must_be_finite(bad):
+    constants = injected_constants(
+        {"Q1": 1e-3, "Q2": 1e-3, "k1": 1.0, "k2": 1.0, "O1": 1.0, "O2": 1.0},
+        wp_value=0.5,
+    )
+    g = [parse("1", "u")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # before, inf escaped as a RuntimeWarning
+        with pytest.raises(ValueError, match=f"a2 must be finite, got {bad!r}"):
+            check_krasnoselskii(g, 1.0, bad, constants)
+        with pytest.raises(ValueError, match=f"c' must be finite, got {bad!r}"):
+            check_avery_henderson(g, 1.0, 2.0, bad, constants)
+        with pytest.raises(ValueError, match=f"b' must be finite, got {bad!r}"):
+            check_leggett_williams(g, 1.0, bad, 3.0, constants)
+
+
+def test_golden_polish_hands_g_python_floats():
+    seen = []
+
+    def plain(u):
+        seen.append(type(u))
+        return 1.0 + math.cos(1.0 + u) / 5.0 + 1.0 / (1.0 + u)
+
+    expr = parse("1 + cos(1+u)/5 + 1/(1+u)", "u")
+    for g in (plain, expr):
+        want = conditions._golden(g, 0.5, 3.0, -1.0)
+        # numpy scalar ends, as window_extremum passes them, give the same bits
+        assert conditions._golden(g, np.float64(0.5), np.float64(3.0), -1.0) == want
+    assert set(seen) == {float}
+
+
 def test_shared_windows_are_evaluated_once(monkeypatch):
     constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
     extrema = count_calls(monkeypatch, conditions, "window_extremum")
@@ -399,6 +433,22 @@ def test_contraction_requires_conjugate_pair(default_params, synthetic_unit_weig
         contraction_constant(
             default_params, synthetic_unit_weight, TS, K=1.0, n=1, p=2.0, q=3.0
         )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_contraction_lipschitz_bound_must_be_finite(
+    bad, default_params, synthetic_unit_weight
+):
+    with pytest.raises(ValueError, match=f"Lipschitz bound K must be finite, got {bad!r}"):
+        contraction_constants(default_params, synthetic_unit_weight, TS, K=bad, n=1,
+                              p=2.0, q=2.0)
+
+
+@pytest.mark.parametrize("interval, name", [((0.0, math.inf), "interval end"),
+                                            ((math.nan, 1.0), "interval start")])
+def test_lipschitz_interval_must_be_finite(interval, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        lipschitz_estimate(parse("u", "u"), interval)
 
 
 def test_lipschitz_estimates():

@@ -41,6 +41,17 @@ def test_example_nonlinearity_value():
     assert g.eval(0.0) == pytest.approx(1 + math.cos(1.0) / 5 + 1, abs=1e-12)
 
 
+def test_call_takes_the_scalar_route_for_every_scalar():
+    g = parse("1+cos(1+u)/5+1/(1+u)", "u")
+    want = g.eval(0.3)
+    for x in (0.3, np.float64(0.3), np.array(0.3), np.array([0.3])[0]):
+        got = g(x)
+        assert type(got) is float and got == want
+    assert parse("u^2", "u")(3) == 9.0
+    arr = g(np.array([0.3, 0.3]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+
+
 def test_piecewise_selects_first_true_branch():
     g = parse("piecewise((u>=1, 1e16), (else, 1e16*u^2 - u + 1))", "u")
     assert g.eval(2.0) == 1e16

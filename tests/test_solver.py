@@ -310,6 +310,15 @@ def test_problem_spec_validation(default_params, synthetic_unit_weight):
                     weights=synthetic_unit_weight, transform=TS, cutoff=0.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_problem_spec_refuses_a_non_finite_metric(p, default_params,
+                                                  synthetic_unit_weight):
+    # inf made every rho_history entry sum(diff**inf)**0 = 1.0
+    with pytest.raises(ValueError, match=f"metric exponent must be finite, got {p!r}"):
+        ProblemSpec(n=1, g=(parse("0", "u"),), kernel=default_params,
+                    weights=synthetic_unit_weight, transform=TS, metric_p=p)
+
+
 # ---------------------------------------------------------------------------
 # longdouble recovery (extended_precision=True)
 # ---------------------------------------------------------------------------
@@ -321,35 +330,46 @@ def _mp_exact(mpmath, x):
     return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
 
 
+_END_CONDITIONS = {
+    "beta0": (1.0, 0.0, 1.0, 1.0), "delta0": (1.0, 1.0, 1.0, 0.0),
+    "unit": (1.0, 1.0, 1.0, 1.0),
+}
+
+
+def _factor_spec(bc, r0, m, weight):
+    return ProblemSpec(n=1, g=(parse("u", "u"),), kernel=KernelParams(*bc, r0=r0),
+                       weights=weight, transform=TS, grid_size=m, cutoff=1e-3)
+
+
 @pytest.mark.parametrize("r0", [0.1, 5.0, 50.0])
-@pytest.mark.parametrize(
-    "bc", [(1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0)],
-    ids=["beta0", "delta0", "unit"],
-)
+@pytest.mark.parametrize("bc", list(_END_CONDITIONS.values()), ids=list(_END_CONDITIONS))
 def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
     mpmath = pytest.importorskip("mpmath")
-    p = KernelParams(*bc, r0=r0)
     m = 1025
-    spec = ProblemSpec(n=1, g=(parse("u", "u"),), kernel=p,
-                       weights=synthetic_unit_weight, transform=TS,
-                       grid_size=m, cutoff=1e-3)
+    spec = _factor_spec(bc, r0, m, synthetic_unit_weight)
     asm = _Assembled(spec, extended=True)
     assert asm.phi.dtype == asm.psi.dtype == np.longdouble
     eps = float(np.finfo(np.longdouble).eps)
-    r0_ld = np.longdouble(r0)
+    x, seg = asm.nodes, solver._SEGMENT
     with mpmath.workdps(40):
         R = mpmath.mpf(r0)
-        root = mpmath.sqrt(mpmath.mpf(varrho(p)))
+        root = mpmath.sqrt(mpmath.mpf(varrho(spec.kernel)))
+        # r0*step as the fill forms it in longdouble, then taken exactly
+        t = _mp_exact(mpmath, r0 * ((x[-1] - x[0]) / (m - 1)))
         for k in (0, 1, 2, m // 2, m - 3, m - 2, m - 1):  # cutoff, middle, s -> 1
-            x = asm.nodes[k]
-            for got, (a, b), y_ld, y_exact in (
-                (asm.phi[k], bc[:2], r0_ld * x, R * _mp_exact(mpmath, x)),
-                (asm.psi[k], bc[2:], r0_ld * (1 - x), R * (1 - _mp_exact(mpmath, x))),
+            # phi runs from the anchor at the left end of k's segment, psi
+            # from the one at its right end, each k*step away from it
+            left, right = k // seg * seg, m - 1 - (m - 1 - k) // seg * seg
+            for got, (a, b), anchor, steps, y_exact in (
+                (asm.phi[k], bc[:2], r0 * x[left], k - left,
+                 R * _mp_exact(mpmath, x[k])),
+                (asm.psi[k], bc[2:], r0 * (1 - x[right]), right - k,
+                 R * (1 - _mp_exact(mpmath, x[k]))),
             ):
                 got = _mp_exact(mpmath, got)
-                # the factor formula at the argument the code forms in
-                # longdouble: the error of the expm1 combination itself
-                y = _mp_exact(mpmath, y_ld)
+                # the factor formula at the argument the rotation forms:
+                # the anchor's longdouble argument plus steps*t, exactly
+                y = _mp_exact(mpmath, anchor) + steps * t
                 exact = (a * mpmath.sinh(y) + b * R * mpmath.cosh(y)) / root
                 assert abs(got - exact) <= 16 * eps * abs(exact), (k, got, exact)
                 # at the exact node, rounding the argument r0*x (resp.
@@ -359,6 +379,65 @@ def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
                 exact = (a * mpmath.sinh(y_exact) + b * R * mpmath.cosh(y_exact)) / root
                 bound = 16 * eps * max(1.0, float(y_exact)) * abs(exact)
                 assert abs(got - exact) <= bound, (k, got, exact)
+
+
+# max |D2 phi - r0^2 phi| and max |D2 psi - r0^2 psi| of the longdouble
+# factors at m = 2^18 + 1, D2 on the grid's own step, as measured when
+# phi/psi took one expm1 per node and factor: (cutoff, r0) -> (phi, psi) of
+# beta0, delta0, unit.  x[1] - x[0] misses the grid's step by 8 eps at
+# cutoff 1e-3 and by 3.7e4 eps at 0.3, where a fill that steps by it reads
+# 47-204x these figures.  The rotation measured 2.4-7.7x less at r0 <= 5.
+# At r0 = 50 both fills sit at the rounding floor of the check itself: 5-6%
+# less at 1e-3, 16-20% less at 0.3, and 1% more on a cutoff-0.1 grid, where
+# correctly rounded values read 6193.5 for beta0's phi, this fill 6249.7.
+_PARENT_FACTOR_NOISE = {
+    (1e-3, 0.1): (2.8340e-08, 4.5951e-08, 4.2482e-08, 3.2480e-08, 4.0748e-08, 4.0283e-08),
+    (1e-3, 1.0): (2.3136e-08, 4.4502e-08, 4.9657e-08, 2.3103e-08, 3.4414e-08, 3.8521e-08),
+    (1e-3, 5.0): (1.2994e-07, 8.3312e-07, 7.9248e-07, 1.2401e-07, 3.1479e-07, 3.0486e-07),
+    (1e-3, 50.0): (8.0138e03, 3.9197e05, 4.0851e05, 7.6903e03, 5.7208e04, 5.4913e04),
+    (0.3, 0.1): (5.3613e-08, 8.8937e-08, 9.5155e-08, 4.5064e-08, 7.7709e-08, 6.5618e-08),
+    (0.3, 1.0): (4.4200e-08, 9.5477e-08, 8.7277e-08, 3.0654e-08, 6.9459e-08, 5.2341e-08),
+    (0.3, 5.0): (2.4867e-07, 3.5350e-07, 1.5434e-06, 5.3471e-08, 6.0435e-07, 1.3776e-07),
+    (0.3, 50.0): (4.4963e03, 7.2984e-02, 2.2882e05, 1.4362e-03, 3.2145e04, 1.0249e-02),
+}
+
+
+@pytest.mark.parametrize("cutoff", [1e-3, 0.3])
+@pytest.mark.parametrize("r0", [0.1, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("ends", list(_END_CONDITIONS))
+def test_longdouble_factor_noise_stays_below_the_per_node_fill(
+    ends, r0, cutoff, synthetic_unit_weight
+):
+    m = 2**18 + 1
+    spec = dataclasses.replace(
+        _factor_spec(_END_CONDITIONS[ends], r0, m, synthetic_unit_weight), cutoff=cutoff)
+    asm = _Assembled(spec, extended=True)
+    x = asm.nodes
+    h2 = ((x[-1] - x[0]) / (m - 1)) ** 2
+    noise = []
+    for f in (asm.phi, asm.psi):
+        d2 = (f[:-2] - 2 * f[1:-1] + f[2:]) / h2
+        noise.append(float(np.max(np.abs(d2 - np.longdouble(r0) ** 2 * f[1:-1]))))
+    k = 2 * list(_END_CONDITIONS).index(ends)
+    want = _PARENT_FACTOR_NOISE[cutoff, r0][k:k + 2]
+    assert noise[0] <= want[0] and noise[1] <= want[1], (noise, want)
+
+
+@pytest.mark.parametrize("m", [17, 4097, 2**17 + 1])
+def test_longdouble_fill_takes_expm1_at_anchors_and_one_table(
+    m, monkeypatch, default_params, synthetic_unit_weight
+):
+    calls = count_calls(monkeypatch, solver, "_sinh_coshm1")
+    spec = ProblemSpec(n=1, g=(parse("u", "u"),), kernel=default_params,
+                       weights=synthetic_unit_weight, transform=TS, grid_size=m)
+    _Assembled(spec, extended=True)
+    seg = solver._SEGMENT
+    anchors = -(-m // seg)
+    # phi's and psi's anchors, then the table
+    assert [y.size for (y,) in calls] == [anchors, anchors, min(seg, m)]
+    calls.clear()
+    _Assembled(spec)  # the float64 path takes kernel.phi/psi
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +541,21 @@ def test_blocked_passes_bit_identical_to_whole_array(
         _same_pipeline(blocked, _pipeline(spec))
 
 
+def test_rotation_fill_is_independent_of_the_block_split(
+    monkeypatch, default_params, example4_weights
+):
+    # segments of 64 nodes: blocks shorter than a segment, and blocks that
+    # cut segments anywhere, give the one-block values bit for bit
+    monkeypatch.setattr(solver, "_SEGMENT", 64)
+    spec = _example4_spec(default_params, example4_weights, 1000, _G3[:1])
+    want = _Assembled(spec, extended=True)
+    for block in (16, 100, 333):
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        got = _Assembled(spec, extended=True)
+        assert np.array_equal(got.phi, want.phi)
+        assert np.array_equal(got.psi, want.psi)
+
+
 def test_nonlinearity_failing_past_first_block_keeps_its_error(
     monkeypatch, default_params, example4_weights
 ):
@@ -562,7 +656,7 @@ def test_public_calls_stay_on_the_calling_thread(
     solver_route, monkeypatch, default_params, example4_weights
 ):
     solver_route(2)
-    threads = {"public": [], "expm1": []}
+    threads = {"public": [], "fill": []}
 
     def on_thread(key, fn):
         def recorded(*args, **kwargs):
@@ -572,15 +666,16 @@ def test_public_calls_stay_on_the_calling_thread(
 
     for name in ("weight_ell", "trapezoid_weights", "phi", "psi"):
         monkeypatch.setattr(solver, name, on_thread("public", getattr(solver, name)))
-    monkeypatch.setattr(solver, "_sinh_cosh", on_thread("expm1", solver._sinh_cosh))
+    monkeypatch.setattr(solver, "_rotate", on_thread("fill", solver._rotate))
     spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
     spec = dataclasses.replace(spec, g=tuple(on_thread("public", g) for g in spec.g))
     _pipeline(spec)
     assert len(threads["public"]) > 20
     assert set(threads["public"]) == {threading.get_ident()}
-    # the pool did run the longdouble factors, so the check above means something
-    assert threads["expm1"]
-    assert threading.get_ident() not in threads["expm1"]
+    # the pool did run the longdouble factor fill, so the check above means
+    # something
+    assert threads["fill"]
+    assert threading.get_ident() not in threads["fill"]
 
 
 def test_worker_exception_reaches_the_caller(
@@ -591,16 +686,16 @@ def test_worker_exception_reaches_the_caller(
     u, _ = picard_solve(spec, tol=1e-12)
     want = recover_components(spec, u, tol=1e-10, extended_precision=True)
     raised = []
-    sinh_cosh = solver._sinh_cosh
+    rotate = solver._rotate
 
-    def fails_on_the_last_block(y, sh, e):
-        if y.size < solver._BLOCK:  # the short last block only
+    def fails_on_the_last_block(out, *args):
+        if out.size < solver._BLOCK:  # the short last block only
             raised.append(ArithmeticError("block failed"))
             raise raised[-1]
-        return sinh_cosh(y, sh, e)
+        return rotate(out, *args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_sinh_cosh", fails_on_the_last_block)
+        mp.setattr(solver, "_rotate", fails_on_the_last_block)
         with pytest.raises(ArithmeticError) as info:
             recover_components(spec, u, tol=1e-10, extended_precision=True)
     assert info.value is raised[0]
