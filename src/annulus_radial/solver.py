@@ -20,7 +20,8 @@ the only m-long arrays are those a step keeps.  tracemalloc peaks per node
 (example 4, m = 2^20 + 1): Picard 80 B for n >= 2 (nodes, phi, psi, w, the
 iterate, plain trapezoid weights, the |new - u| buffer, one g*w workspace
 and two layer outputs; 72 B for n = 1), float64 recovery (5 + n)*8 B,
-longdouble recovery (5 + n)*16 + 8 B, and the defect check none: it peaks
+longdouble recovery (7 + 2n)*8 B (its phi, psi and n outputs are
+longdouble, the rest is float64), and the defect check none: it peaks
 at ~7.3 MB whatever m (~112 B per block node).  On top of the m-long
 arrays, Picard and the float64 recovery hold ~2.1 MB of block buffers and
 the longdouble recovery ~4.2 MB.  Grids of at most 2^16 nodes run as one
@@ -272,6 +273,19 @@ def _rotation_table(t, n: int) -> tuple:
     return sh, chm1
 
 
+def _abscissae(spec: ProblemSpec, idx: np.ndarray) -> tuple:
+    """(x, step): the nodes idx of np.linspace(longdouble(cutoff),
+    longdouble(1), m, dtype=longdouble) by linspace's own formula, lo +
+    i*step with the last node exactly 1, and that step."""
+    lo = np.longdouble(spec.cutoff)
+    step = (np.longdouble(1.0) - lo) / (spec.grid_size - 1)
+    x = idx.astype(np.longdouble)
+    x *= step
+    x += lo
+    x[idx == spec.grid_size - 1] = 1.0
+    return x, step
+
+
 def _rotate(out, anchors, table, start: int, tmp) -> None:
     """Fill out[i] = A + (A*(cosh - 1) + B*sinh) for the nodes start,
     start + 1, ... counted from the anchor end, with (A, B) the anchor pair
@@ -295,7 +309,12 @@ class _Assembled:
     extended=True runs the kernel folds in numpy's longdouble: the component
     values then carry sub-float64 representation noise, which is what a
     second-difference defect check needs on fine grids (the float64 ulp of
-    the values alone contributes ~4*ulp(u)/h^2 of defect noise).  The float64
+    the values alone contributes ~4*ulp(u)/h^2 of defect noise).  Only phi,
+    psi and the folds (their block buffers and their output) are longdouble.
+    The nodes make_grid(spec), the weights w and the g*w workspace are the
+    float64 path's own: g*w rounds once per node into a sum the kernel
+    smooths, and the float64 trapezoid weights jitter by ~ulp(s)/h, ~2e-10
+    relative at m = 1e6, below the longdouble defect's floor.  The float64
     path keeps kernel.phi/kernel.psi bit for bit: at m = 1e6 a 1- or 2-ulp
     change there moves the solve report's relative defect by 2-5%, against
     its 1e-3 gate.
@@ -307,7 +326,9 @@ class _Assembled:
     and factor: _SEGMENT + 2*ceil(m/_SEGMENT) points, 4,586 at m = 1e6
     against 2m for one pass per node and factor.  A node's value is the
     factor at its anchor plus whole grid steps, not at its own rounded
-    abscissa; the two differ by that rounding times the factor's slope.
+    abscissa; the two differ by that rounding times the factor's slope.  So
+    the anchors, not the nodes, carry longdouble abscissae: the nodes of
+    np.linspace in longdouble at the anchor indices (_abscissae).
 
     phi, psi and the ell-weighted trapezoid weights w are filled one block
     at a time; ell itself is never held for the whole grid.  The calling
@@ -324,13 +345,12 @@ class _Assembled:
         self.spec = spec
         dtype = np.longdouble if extended else np.float64
         m = spec.grid_size
-        # the abscissae themselves must carry the working precision: float64
-        # node jitter alone injects ~2*ulp(node)*u'/h^2 into defect checks
-        self.nodes = np.linspace(dtype(spec.cutoff), dtype(1.0), m, dtype=dtype)
+        self.nodes = make_grid(spec)
         self.blocks = _blocks(m)
         # one block leaves the threads nothing to share
         self.inline = len(self.blocks) == 1
-        self.phi, self.psi, self.w = (np.empty_like(self.nodes) for _ in range(3))
+        self.phi, self.psi = np.empty(m, dtype), np.empty(m, dtype)
+        self.w = np.empty(m)
         self.root = np.sqrt(dtype(varrho(spec.kernel)))
         if extended:
             rotation = self._rotation()
@@ -351,8 +371,7 @@ class _Assembled:
         for a, b in self.blocks:
             # one neighbour node on each side gives the block's own weights
             lo, hi = max(a - 1, 0), min(b + 1, m)
-            ell = weight_ell(np.asarray(self.nodes[a:b], dtype=float), spec.weights,
-                             spec.transform)
+            ell = weight_ell(self.nodes[a:b], spec.weights, spec.transform)
             np.multiply(
                 trapezoid_weights(self.nodes[lo:hi])[a - lo:b - lo],
                 np.asarray(ell, dtype=float),
@@ -363,19 +382,19 @@ class _Assembled:
         """(phi anchors, psi anchors, table) of the longdouble fill.
 
         The table holds sinh and cosh - 1 at k*r0*step for k < _SEGMENT,
-        with the grid's own step (x[m-1] - x[0])/(m-1): x[1] - x[0] carries
-        the rounding of both nodes, and segments built on it drift apart.
-        An anchor pair is (phi, phi'/r0) at each segment's left end, resp.
-        (psi, -psi'/r0) at its right end, divided by sqrt(varrho); every
-        term is nonnegative, so nothing cancels, with Dirichlet ends too.
+        with the grid's own step (1 - cutoff)/(m - 1) in longdouble: the
+        difference of two nodes carries the rounding of both, and segments
+        built on it drift apart.  An anchor pair is (phi, phi'/r0) at each
+        segment's left end, resp. (psi, -psi'/r0) at its right end, divided
+        by sqrt(varrho); every term is nonnegative, so nothing cancels, with
+        Dirichlet ends too.
 
         Both are built in place: their short-lived blocks land on the heap
         between the m-long arrays, and with a dozen more of them the
         fine-grid benchmark's peak RSS sat 7 MB higher (glibc heap layout,
         not live memory: with a fixed mmap threshold both read the same).
         """
-        k, x = self.spec.kernel, self.nodes
-        m = x.size
+        k, m = self.spec.kernel, self.nodes.size
 
         def pair(y, c_sh, c_ch):
             # (c_sh sinh + c_ch cosh, c_sh cosh + c_ch sinh) / root at r0*y
@@ -392,10 +411,14 @@ class _Assembled:
             b /= self.root
             return a, b
 
-        step = (x[-1] - x[0]) / (m - 1)
+        # the abscissae themselves must carry the working precision: float64
+        # node jitter alone injects ~2*ulp(node)*u'/h^2 into defect checks
+        x, step = _abscissae(self.spec, np.arange(0, m, _SEGMENT))
+        right = _abscissae(self.spec, np.arange(m - 1, -1, -_SEGMENT))[0]
+        np.subtract(1.0, right, out=right)
         return (
-            pair(x[::_SEGMENT].copy(), k.alpha, k.beta * k.r0),
-            pair(1.0 - x[::-1][::_SEGMENT], k.gamma, k.delta * k.r0),
+            pair(x, k.alpha, k.beta * k.r0),
+            pair(right, k.gamma, k.delta * k.r0),
             _rotation_table(k.r0 * step, min(_SEGMENT, m)),
         )
 
@@ -416,7 +439,7 @@ class _Assembled:
         block, the sweep that finishes first stores its part of the output
         and the other adds its part in, always as prefix + suffix.
         """
-        out = np.empty_like(c)
+        out = np.empty(c.size, self.phi.dtype)
         lock = threading.Lock()
         stored: set = set()  # blocks that hold one sweep's part
 
@@ -467,11 +490,11 @@ class _Assembled:
     def _block_buffers(self, count: int) -> tuple:
         """count empty arrays of one block each, in the working dtype."""
         size = min(_BLOCK, self.nodes.size)
-        return tuple(np.empty(size, self.nodes.dtype) for _ in range(count))
+        return tuple(np.empty(size, self.phi.dtype) for _ in range(count))
 
     def layer(self, i: int, v: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Fold g_i(v) through the kernel; work (m values of the working
-        dtype, reused across the layers of a call) receives g_i(v) * w."""
+        """Fold g_i(v) through the kernel; work (m float64 values, reused
+        across the layers of a call) receives g_i(v) * w."""
         g = self.spec.g[i]
         for a, b in self.blocks:
             try:
@@ -499,19 +522,23 @@ class _Assembled:
 
 
 def _match_grid(asm: _Assembled, u: GridFunction) -> np.ndarray:
-    """u's values at asm's nodes.  A u on the float64 grid make_grid(spec)
-    is taken as it is, also by a longdouble assembly: its nodes round to
-    that grid within 1 ulp, and interpolating across an ulp only blurs u."""
-    grid = asm.nodes if asm.nodes.dtype == np.float64 else make_grid(asm.spec)
-    if u.nodes.shape == grid.shape and np.array_equal(u.nodes, grid):
+    """u's values at asm's nodes, the float64 grid make_grid(spec) of both
+    precisions: a u on that grid is taken as it is, any other is
+    interpolated."""
+    if u.nodes.shape == asm.nodes.shape and np.array_equal(u.nodes, asm.nodes):
         return u.values
-    return u(np.asarray(asm.nodes, dtype=float))
+    return u(asm.nodes)
 
 
 def apply_operator(spec: ProblemSpec, u1: GridFunction) -> GridFunction:
     """One application of the folded n-layer operator to u1."""
     asm = _Assembled(spec)
     return GridFunction(asm.nodes, asm.apply(_match_grid(asm, u1)))
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _lp_norm(diff: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -539,6 +566,7 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    _check_tol(tol)
     asm = _Assembled(spec)
     if init is None:
         u = np.zeros_like(asm.nodes)
@@ -617,24 +645,23 @@ def recover_components(
     u_n comes from u_1, then u_{n-1} from u_n, and so on; the re-derived u_1
     must close the cycle to within 10*tol.  extended_precision reruns the
     layer folds in longdouble so the component values are clean enough for
-    second-difference defect checks on very fine grids.
+    second-difference defect checks on very fine grids; the components sit
+    on the float64 grid make_grid(spec) in both precisions.
     """
+    _check_tol(tol)
     asm = _Assembled(spec, extended=extended_precision)
-    # one float64 copy of the nodes for all n.  It is made before the layers:
-    # made after them, it let the peak RSS of repeated m = 1e6 recoveries
-    # creep up by ~20 MB (glibc heap layout)
-    nodes = np.asarray(asm.nodes, dtype=float)
-    base = _match_grid(asm, u1)
+    base = np.asarray(_match_grid(asm, u1), dtype=float)
     comps = list(asm.layers(base))[::-1]
-    dtype = asm.w.dtype
+    # in float64 on the rounded u_1: the check is against 10*tol
     closure = float(np.max([
-        np.max(np.abs(comps[0][a:b] - base[a:b].astype(dtype))) for a, b in asm.blocks
+        np.max(np.abs(np.asarray(comps[0][a:b], dtype=float) - base[a:b]))
+        for a, b in asm.blocks
     ]))
     if closure > 10.0 * tol:
         raise CycleConsistencyError(
             f"cyclic closure residual {closure:.3e} exceeds {10.0 * tol:.3e}"
         )
-    return [GridFunction(nodes, c) for c in comps]
+    return [GridFunction(asm.nodes, c) for c in comps]
 
 
 def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tuple:
@@ -671,7 +698,7 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
                 gv = np.full(u.shape, float(gv))
             # only the second difference needs the components' precision;
             # the rest runs in float64 (a no-op for float64 components)
-            d2 = np.asarray((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2, dtype=float)
+            d2 = np.asarray(u[:-2] - 2.0 * u[1:-1] + u[2:], dtype=float) / h**2
             mid = np.asarray(u[1:-1], dtype=float)
             forcing = ell[1:-1] * gv[1:-1]
             res = np.abs(d2 - r2 * mid + forcing)
@@ -725,6 +752,7 @@ def multistart_solve(
     solution promised by the cone theorems is found.  A start whose iterates
     leave the domain of some g_i (an overflow, say) counts as diverging.
     """
+    _check_tol(tol)
     found: list = []
     for level in levels:
         try:

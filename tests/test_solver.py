@@ -129,6 +129,16 @@ def test_picard_rejects_a_non_finite_start(level, default_params, synthetic_unit
         picard_solve(spec, init=level)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_picard_rejects_a_tol_that_is_not_finite_and_positive(
+    tol, default_params, synthetic_unit_weight
+):
+    # nan and negative values ran to max_iter, inf stopped after one step
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol!r}"):
+        picard_solve(spec, tol=tol)
+
+
 def test_picard_lp_distance_survives_an_overflowing_power(
     default_params, synthetic_unit_weight
 ):
@@ -186,6 +196,21 @@ def test_recover_detects_cycle_inconsistency(default_params, synthetic_unit_weig
     bogus = GridFunction.constant(make_grid(spec), 5.0)
     with pytest.raises(CycleConsistencyError):
         recover_components(spec, bogus, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_recover_rejects_a_tol_that_is_not_finite_and_positive(
+    tol, default_params, example4_weights, example4_nonlinearities
+):
+    # nan and inf skipped the closure check: this u_1 closes the cycle only
+    # to 4.98, and came back as components
+    spec = ProblemSpec(n=2, g=example4_nonlinearities, kernel=default_params,
+                       weights=example4_weights, transform=TS, grid_size=1025)
+    bogus = GridFunction.constant(make_grid(spec), 5.0)
+    for extended in (False, True):
+        with pytest.raises(ValueError,
+                           match=f"tol must be finite and positive, got {tol!r}"):
+            recover_components(spec, bogus, tol=tol, extended_precision=extended)
 
 
 def test_example4_components_nonnegative_in_cone(
@@ -278,6 +303,18 @@ def test_multistart_counts_an_overflowing_start_as_diverging(synthetic_unit_weig
     assert float(np.max(found[0][0].values)) == pytest.approx(0.288177, abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_multistart_rejects_a_tol_that_is_not_finite_and_positive(
+    tol, default_params, synthetic_unit_weight
+):
+    # checked before any start runs, so an empty level list refuses it too
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["1/(1+u)"])
+    for levels in ([0.0, 2.0], []):
+        with pytest.raises(ValueError,
+                           match=f"tol must be finite and positive, got {tol!r}"):
+            multistart_solve(spec, levels, tol=tol)
+
+
 def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_weight):
     seen = []
 
@@ -350,7 +387,9 @@ def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
     asm = _Assembled(spec, extended=True)
     assert asm.phi.dtype == asm.psi.dtype == np.longdouble
     eps = float(np.finfo(np.longdouble).eps)
-    x, seg = asm.nodes, solver._SEGMENT
+    # the exact abscissae: the longdouble linspace the anchors are taken from
+    x = np.linspace(np.longdouble(spec.cutoff), np.longdouble(1.0), m, dtype=np.longdouble)
+    seg = solver._SEGMENT
     with mpmath.workdps(40):
         R = mpmath.mpf(r0)
         root = mpmath.sqrt(mpmath.mpf(varrho(spec.kernel)))
@@ -412,8 +451,7 @@ def test_longdouble_factor_noise_stays_below_the_per_node_fill(
     spec = dataclasses.replace(
         _factor_spec(_END_CONDITIONS[ends], r0, m, synthetic_unit_weight), cutoff=cutoff)
     asm = _Assembled(spec, extended=True)
-    x = asm.nodes
-    h2 = ((x[-1] - x[0]) / (m - 1)) ** 2
+    h2 = ((np.longdouble(1.0) - np.longdouble(cutoff)) / (m - 1)) ** 2
     noise = []
     for f in (asm.phi, asm.psi):
         d2 = (f[:-2] - 2 * f[1:-1] + f[2:]) / h2
@@ -438,6 +476,26 @@ def test_longdouble_fill_takes_expm1_at_anchors_and_one_table(
     calls.clear()
     _Assembled(spec)  # the float64 path takes kernel.phi/psi
     assert calls == []
+
+
+@pytest.mark.parametrize("m", [16, 100, 4097, 8193, 2**17 + 1])
+def test_longdouble_anchors_sit_on_the_longdouble_linspace(
+    m, monkeypatch, synthetic_unit_weight
+):
+    # at r0 = 1 the expm1 pass sees phi's anchor abscissae x and psi's 1 - x
+    # as they are.  linspace sets node m - 1 to 1 exactly, where lo + (m-1)*step
+    # is an ulp off at m = 100; m = 8193 puts a phi anchor there too
+    seen = []
+    orig = solver._sinh_coshm1
+    monkeypatch.setattr(solver, "_sinh_coshm1", lambda y: seen.append(y.copy()) or orig(y))
+    spec = _factor_spec(_END_CONDITIONS["unit"], 1.0, m, synthetic_unit_weight)
+    _Assembled(spec, extended=True)
+    x = np.linspace(np.longdouble(spec.cutoff), np.longdouble(1.0), m, dtype=np.longdouble)
+    seg = solver._SEGMENT
+    phi_x, psi_y = seen[:2]
+    assert phi_x.dtype == psi_y.dtype == np.longdouble
+    assert np.array_equal(phi_x, x[::seg])
+    assert np.array_equal(psi_y, 1.0 - x[::-1][::seg])
 
 
 @pytest.fixture(scope="module")
@@ -467,26 +525,34 @@ def test_longdouble_recovery_takes_u1_on_the_float64_grid_as_it_is(
 ):
     spec, u = example4_fine
     assert np.array_equal(u.nodes, make_grid(spec))
+    # both precisions share the float64 grid
+    assert np.array_equal(_Assembled(spec, extended=True).nodes, make_grid(spec))
 
     def no_interpolation(self, x):
         raise AssertionError("u1 was interpolated")
 
     with monkeypatch.context() as m:
         m.setattr(GridFunction, "__call__", no_interpolation)
+        c64 = recover_components(spec, u, tol=1e-10)
         cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
         # a u1 on other nodes still goes through interpolation
         shifted = GridFunction(np.linspace(1e-3, 1.0, spec.grid_size - 2), u.values[1:-1])
         with pytest.raises(AssertionError, match="interpolated"):
             recover_components(spec, shifted, extended_precision=True)
-    # the longdouble nodes round to float64 off the grid by an ulp here and
-    # there; interpolating u1 onto them moves the components by ~1 ulp
-    rounded = np.asarray(_Assembled(spec, extended=True).nodes, dtype=float)
-    assert not np.array_equal(rounded, u.nodes)
-    old = recover_components(spec, GridFunction(rounded, u(rounded)), tol=1e-10,
-                             extended_precision=True)
-    sup = max(float(np.max(np.abs(c.values))) for c in cld)
-    for a, b in zip(old, cld):
-        assert float(np.max(np.abs(a.values - b.values))) <= 1e-15 * sup
+    for a, b in zip(c64, cld):
+        assert np.array_equal(a.nodes, b.nodes)
+
+
+# max relative defect of the longdouble components of example4_fine when the
+# longdouble recovery ran on rounded longdouble nodes with longdouble weights
+_DEFECT_ON_LONGDOUBLE_NODES = 1.7116e-08  # measured 1.711592e-08
+
+
+def test_longdouble_defect_on_the_float64_grid_stays_near_its_old_value(example4_fine):
+    # the float64 trapezoid weights jitter by ~ulp(s)/h, up to ~6e-11 relative here
+    spec, u = example4_fine
+    cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+    assert worst_defects(spec, cld)[1] <= 1.25 * _DEFECT_ON_LONGDOUBLE_NODES  # measured 1.650e-08
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +667,7 @@ def test_recovery_and_defect_memory_on_example4(example4_fine):
     assert peak <= 18.0e6  # measured 16.3 MB, 62 B/node
     peak = _traced_peak(
         lambda: recover_components(spec, u, tol=1e-10, extended_precision=True))
-    assert peak <= 38.0e6  # measured 34.6 MB, 132 B/node
+    assert peak <= 30.0e6  # measured 27.5 MB, 105 B/node
     cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
     # every temporary of the defect is one block long, whatever m
     assert _traced_peak(lambda: worst_defects(spec, cld)) <= 8.1e6  # measured 7.3 MB
