@@ -3,7 +3,7 @@
     annulus-radial kernel     --config cfg.json [--grid N] [--table] [--out DIR]
     annulus-radial constants  --config cfg.json [--out DIR]
     annulus-radial check      --config cfg.json --which NAME [--out DIR]
-    annulus-radial solve      --config cfg.json [--init LEVEL] [--multistart] [--out DIR]
+    annulus-radial solve      --config cfg.json [--init LEVEL | --multistart] [--out DIR]
     annulus-radial reproduce  --example K [--out DIR]
 
 Reports are JSON with sorted keys (byte-stable across runs for identical
@@ -81,6 +81,8 @@ def _write_text(out: Path | None, name: str, text: str) -> None:
 
 def cmd_kernel(cfg: AppConfig, grid: int, table: bool, out: Path | None) -> int:
     if table:
+        if grid < 2:
+            raise ValueError("grid_size must be >= 2")
         nodes = np.linspace(0.0, 1.0, grid)
         M = kernel_matrix(cfg.kernel, nodes)
         lines = ["s,t,value"]
@@ -276,8 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="Picard iteration on the configured system")
     s.add_argument("--config", required=True)
-    s.add_argument("--init", type=float, default=None)
-    s.add_argument("--multistart", action="store_true")
+    start = s.add_mutually_exclusive_group()
+    start.add_argument("--init", type=float, default=None)
+    start.add_argument("--multistart", action="store_true")
     s.add_argument("--out", default=None)
 
     r = sub.add_parser("reproduce", help="audit one built-in published example")

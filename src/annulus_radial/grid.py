@@ -31,7 +31,9 @@ class GridFunction:
             raise ValueError("nodes and values must be matching 1-D arrays")
         if self.nodes.size < 2:
             raise ValueError("need at least two nodes")
-        if not (np.diff(self.nodes) > 0).all():
+        # one bool per node and no float difference; the verdict is that of
+        # np.diff(nodes) > 0 for every input, NaN and infinities included
+        if not (self.nodes[1:] > self.nodes[:-1]).all():
             raise ValueError("nodes must increase strictly")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")

@@ -27,31 +27,28 @@ arrays, Picard and the float64 recovery hold ~2.1 MB of block buffers and
 the longdouble recovery ~4.2 MB.  Grids of at most 2^16 nodes run as one
 block.
 
-Threads: a grid of several blocks hands the block work that touches numpy
-only to a module-level thread pool, made on first use, with as many
-threads as this process may use CPUs, at most _MAX_WORKERS.  The calling
-thread keeps everything else: every public library call (weight_ell,
-trapezoid_weights, kernel.phi/psi, the nonlinearities), the prefix sweep
-of each kernel fold, the ell-weighted weights w, and the table and anchors
-of the longdouble phi/psi (a few thousand expm1 points).  The pool runs the
-suffix sweep of each fold and the longdouble phi/psi rotation from those
-anchors, one block per task.  Workers allocate nothing: they write into
-slices of phi, psi and the fold's output, and into buffers that the
-calling thread allocated.  Every operation is the one the inline route
-performs, in the same order, so every float64 and longdouble number is the
-same bit for bit.  With one CPU or one block, the same per-block functions
-run inline; a child made by fork() makes its own pool.
+Threads: a grid of several blocks, in a process that may use more than one
+CPU, hands two jobs that touch numpy only to one helper thread, started and
+joined per call (_beside): the suffix sweep of each kernel fold, beside the
+prefix sweep, and the longdouble phi/psi rotation from the table and
+anchors, beside the ell-weighted weights w.  The calling thread keeps
+everything else: every public library call (weight_ell, trapezoid_weights,
+kernel.phi/psi, the nonlinearities), the prefix sweeps, w, and the table
+and anchors of the longdouble phi/psi (a few thousand expm1 points).  The
+helper allocates nothing: it writes into phi, psi and the fold's output,
+and into buffers that the calling thread allocated.  Every operation is the
+one the inline route performs, in the same order, so every float64 and
+longdouble number is the same bit for bit.  With one CPU or one block, both
+jobs run inline.  No thread outlives a call, so a child made by fork()
+needs no care.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -143,81 +140,46 @@ def make_grid(spec: ProblemSpec) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-# A grid of several blocks hands its numpy-only block work to a pool of at
-# most this many threads, and no more than the CPUs this process may use.
-_MAX_WORKERS = 4
-
-_POOL = None  # (executor or None, workers), made on first use by _pool()
-
-
 def _blocks(m: int) -> list:
     """(start, stop) of the consecutive blocks of m nodes, left to right."""
     return [(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
 
 
-def _pool() -> tuple:
-    """(executor, workers) of the module's thread pool; (None, 1) where this
-    process may use one CPU only, and everything then runs inline."""
-    global _POOL
-    if _POOL is None:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        workers = min(cpus, _MAX_WORKERS)
-        _POOL = (
-            (ThreadPoolExecutor(workers, thread_name_prefix="annulus-radial"), workers)
-            if workers > 1 else (None, 1)
-        )
-    return _POOL
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    # a child made by fork() inherits the pool object but none of its threads
-    global _POOL
-    _POOL = None
+def _beside(here, task, inline: bool) -> None:
+    """Run task() on a helper thread while here() runs on the calling thread.
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _together(here, tasks: list, buffers, inline: bool) -> None:
-    """Run the tasks on the pool while here() runs on the calling thread.
-
-    buffers() makes one set of block buffers.  The calling thread makes one
-    set per task that may run at once; each task is called with a set and
-    hands it back when done.  Tasks touch numpy only: no public library
-    function, and no allocation.  Returns when every task has finished; an
-    exception of here(), else the first one of a task in list order,
-    propagates as it was raised.  Without a pool, or with inline set,
-    here() and then each task run on the calling thread.
+    task touches numpy only: no public library function, and no allocation.
+    Returns when both have finished; an exception of here(), else of task(),
+    propagates as it was raised.  With inline set, here() and then task()
+    run on the calling thread.
     """
-    pool, workers = (None, 1) if inline else _pool()
-    sets = [buffers() for _ in range(min(workers, len(tasks)))]
-    if pool is None:
+    if inline:
         here()
-        for task in tasks:
-            task(*sets[0])
+        task()
         return
-    free: queue.SimpleQueue = queue.SimpleQueue()
-    for bufs in sets:
-        free.put(bufs)
+    raised = []
 
-    def run(task):
-        bufs = free.get()
+    def run():
         try:
-            task(*bufs)
-        finally:
-            free.put(bufs)
+            task()
+        except BaseException as exc:  # re-raised on the calling thread
+            raised.append(exc)
 
-    futures = [pool.submit(run, task) for task in tasks]
+    helper = threading.Thread(target=run, name="annulus-radial")
+    helper.start()
     try:
         here()
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        helper.join()
+    if raised:
+        raise raised[0]
 
 
 def _sinh_coshm1(y: np.ndarray) -> tuple:
@@ -240,9 +202,8 @@ def _sinh_coshm1(y: np.ndarray) -> tuple:
 
 
 # The longdouble phi/psi run from an anchor every this many nodes, counted
-# from node 0 for phi and from node m-1 for psi.  A power of two (the
-# rotation table's split relies on it), and independent of _BLOCK, so every
-# block split gives the same values bit for bit.
+# from node 0 for phi and from node m-1 for psi.  A power of two: the
+# rotation table's split relies on it.
 _SEGMENT = 1 << 12
 
 
@@ -286,19 +247,17 @@ def _abscissae(spec: ProblemSpec, idx: np.ndarray) -> tuple:
     return x, step
 
 
-def _rotate(out, anchors, table, start: int, tmp) -> None:
-    """Fill out[i] = A + (A*(cosh - 1) + B*sinh) for the nodes start,
-    start + 1, ... counted from the anchor end, with (A, B) the anchor pair
-    of the node's segment and the table row of its offset in it; numpy only
-    and into tmp, so it may run on a worker."""
+def _rotate(out, anchors, table, tmp) -> None:
+    """Fill out[i] = A + (A*(cosh - 1) + B*sinh) for the nodes counted from
+    the anchor end, with (A, B) the anchor pair of node i's segment and the
+    table row of its offset in it; numpy only and into tmp, so it may run on
+    the helper thread."""
     (a_values, b_values), (sh, chm1) = anchors, table
-    stop = start + out.size
-    for j in range(start // _SEGMENT, (stop - 1) // _SEGMENT + 1):
-        lo, hi = max(start, j * _SEGMENT), min(stop, (j + 1) * _SEGMENT)
-        o, part = out[lo - start:hi - start], tmp[:hi - lo]
-        k = slice(lo - j * _SEGMENT, hi - j * _SEGMENT)
-        np.multiply(chm1[k], a_values[j], out=o)
-        np.multiply(sh[k], b_values[j], out=part)
+    for j, lo in enumerate(range(0, out.size, _SEGMENT)):
+        o = out[lo:lo + _SEGMENT]
+        part = tmp[:o.size]
+        np.multiply(chm1[:o.size], a_values[j], out=o)
+        np.multiply(sh[:o.size], b_values[j], out=part)
         o += part
         o += a_values[j]
 
@@ -330,10 +289,11 @@ class _Assembled:
     the anchors, not the nodes, carry longdouble abscissae: the nodes of
     np.linspace in longdouble at the anchor indices (_abscissae).
 
-    phi, psi and the ell-weighted trapezoid weights w are filled one block
-    at a time; ell itself is never held for the whole grid.  The calling
-    thread makes the rotation's table and anchors, then the pool fills the
-    longdouble phi/psi blocks from them while the calling thread fills w.
+    The float64 phi, psi and the ell-weighted trapezoid weights w are filled
+    one block at a time; ell itself is never held for the whole grid.  The
+    calling thread makes the rotation's table and anchors, then the helper
+    thread fills the longdouble phi/psi from them, one segment at a time,
+    while the calling thread fills w.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -347,16 +307,20 @@ class _Assembled:
         m = spec.grid_size
         self.nodes = make_grid(spec)
         self.blocks = _blocks(m)
-        # one block leaves the threads nothing to share
-        self.inline = len(self.blocks) == 1
+        # one block, or one CPU, leaves a helper thread nothing to overlap
+        self.inline = len(self.blocks) == 1 or _cpus() == 1
         self.phi, self.psi = np.empty(m, dtype), np.empty(m, dtype)
         self.w = np.empty(m)
         self.root = np.sqrt(dtype(varrho(spec.kernel)))
         if extended:
-            rotation = self._rotation()
-            _together(self._weights,
-                      [partial(self._rotated, a, b, rotation) for a, b in self.blocks],
-                      lambda: (np.empty(min(_SEGMENT, m), dtype),), self.inline)
+            phi_anchors, psi_anchors, table = self._rotation()
+            tmp = np.empty(min(_SEGMENT, m), dtype)
+
+            def fill():
+                _rotate(self.phi, phi_anchors, table, tmp)
+                _rotate(self.psi[::-1], psi_anchors, table, tmp)
+
+            _beside(self._weights, fill, self.inline)
         else:
             self._weights()
             k = spec.kernel
@@ -422,22 +386,16 @@ class _Assembled:
             _rotation_table(k.r0 * step, min(_SEGMENT, m)),
         )
 
-    def _rotated(self, a: int, b: int, rotation: tuple, tmp) -> None:
-        """Fill the longdouble phi/psi of block [a, b) from the anchors;
-        numpy only, so it may run on a worker."""
-        phi_anchors, psi_anchors, table = rotation
-        _rotate(self.phi[a:b], phi_anchors, table, a, tmp)
-        _rotate(self.psi[a:b][::-1], psi_anchors, table, self.nodes.size - b, tmp)
-
     def kernel_fold(self, c: np.ndarray) -> np.ndarray:
         """sum_j Xi(s_i, t_j) c_j via the separable form (ties go to s<=t).
 
         Prefix sums run left to right on the calling thread while suffix
-        sums run right to left on a worker, one block at a time.  Each block
-        adds the running sum into its first term before its cumsum, so every
-        partial sum associates exactly as a whole-array cumsum would.  Per
-        block, the sweep that finishes first stores its part of the output
-        and the other adds its part in, always as prefix + suffix.
+        sums run right to left on the helper thread, one block at a time.
+        Each block adds the running sum into its first term before its
+        cumsum, so every partial sum associates exactly as a whole-array
+        cumsum would.  Per block, the sweep that finishes first stores its
+        part of the output and the other adds its part in, always as
+        prefix + suffix.
         """
         out = np.empty(c.size, self.phi.dtype)
         lock = threading.Lock()
@@ -482,15 +440,10 @@ class _Assembled:
                 s_k *= self.phi[a:b]
                 meet(k, s_k, False)
 
-        mine = self._block_buffers(2)
-        _together(lambda: prefixes(*mine), [suffixes], lambda: self._block_buffers(2),
-                  self.inline)
+        # two block buffers per sweep, allocated here
+        bufs = [np.empty(min(_BLOCK, c.size), self.phi.dtype) for _ in range(4)]
+        _beside(lambda: prefixes(*bufs[:2]), lambda: suffixes(*bufs[2:]), self.inline)
         return out
-
-    def _block_buffers(self, count: int) -> tuple:
-        """count empty arrays of one block each, in the working dtype."""
-        size = min(_BLOCK, self.nodes.size)
-        return tuple(np.empty(size, self.phi.dtype) for _ in range(count))
 
     def layer(self, i: int, v: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Fold g_i(v) through the kernel; work (m float64 values, reused

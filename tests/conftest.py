@@ -7,7 +7,6 @@ are the second route for every dual-route check, so they stay primitive
 
 import importlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,22 +168,15 @@ def row_by_row_profile_csv(spec, components):
 
 @pytest.fixture
 def solver_route(monkeypatch):
-    """route(workers) sends the solver's block work to a fresh pool of that
-    many threads, whatever the CPUs of this process, and route(1) keeps it on
-    the calling thread (the inline route of a process that may use one CPU).
-    Returns the pool, or None; the previous pool is back after the test."""
-    pools = []
+    """route(cpus) makes the solver see that many CPUs, whatever this process
+    may use: route(1) keeps its block work on the calling thread (the inline
+    route of a process pinned to one CPU), and route(2) hands one job per
+    call to a helper thread.  Assemblies made after a call take its route."""
 
-    def route(workers):
-        pool = ThreadPoolExecutor(workers) if workers > 1 else None
-        if pool is not None:
-            pools.append(pool)
-        monkeypatch.setattr(solver, "_POOL", (pool, workers))
-        return pool
+    def route(cpus):
+        monkeypatch.setattr(solver, "_cpus", lambda: cpus)
 
-    yield route
-    for pool in pools:
-        pool.shutdown()
+    return route
 
 
 def per_call_window(hypothesis_id, g_index, g, lo, hi, direction, bound,

@@ -214,6 +214,17 @@ def test_cli_kernel_table_shape(tmp_path, capsys):
         assert table[(t, s)] == v
 
 
+@pytest.mark.parametrize("table", [[], ["--table"]])
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_cli_kernel_grid_below_two_is_exit_2(table, grid, tmp_path, capsys):
+    # the table route rejects it as the certificate route does
+    path = write_config(tmp_path, minimal_config())
+    assert cli.main(["kernel", "--config", path, "--grid", grid] + table) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid_size must be >= 2" in captured.err
+
+
 def test_cli_kernel_degenerate_config_is_exit_2(tmp_path, capsys):
     doc = minimal_config()
     doc["kernel"].update({"alpha": 0, "beta": 0})
@@ -364,6 +375,18 @@ def test_cli_solve_non_finite_init_is_exit_2(level, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--init must be finite" in captured.err
+
+
+@pytest.mark.parametrize("level", ["nan", "1.0"])
+def test_cli_solve_multistart_with_init_is_exit_2(level, tmp_path, capsys):
+    # --multistart picks its own starts, so an --init beside it is refused
+    path = write_config(tmp_path, minimal_config())
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--config", path, "--multistart", "--init", level])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_cli_solve_huge_init_reports_valid_json(tmp_path, capsys):

@@ -266,6 +266,28 @@ def test_residual_large_for_non_solution(default_params, synthetic_unit_weight):
     assert residual_check(spec, [junk]) > 1e3 * 1e-10
 
 
+_INF, _NAN, _TINY = math.inf, math.nan, 5e-324
+
+
+@pytest.mark.parametrize("nodes", [
+    [0.0, 1.0], [0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0], [-0.0, 0.0],
+    [0.0, _TINY], [_TINY, _TINY], [-1e308, 1e308], [-_INF, 0.0], [0.0, _INF],
+    [-_INF, _INF], [_INF, _INF], [-_INF, -_INF], [0.0, _NAN], [_NAN, 1.0],
+    [0.0, _NAN, 1.0], [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0],
+])
+def test_grid_function_node_order_matches_np_diff(nodes):
+    # the neighbour comparison gives the verdict of np.diff(nodes) > 0
+    nodes = np.array(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 2e308
+        increasing = bool((np.diff(nodes) > 0).all())
+    assert bool((nodes[1:] > nodes[:-1]).all()) == increasing
+    if increasing:
+        GridFunction(nodes, np.zeros_like(nodes))
+    else:
+        with pytest.raises(ValueError, match="increase strictly"):
+            GridFunction(nodes, np.zeros_like(nodes))
+
+
 def test_radial_profile_mapping(default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["1"], cutoff=1e-3)
     u, _ = picard_solve(spec, tol=1e-12)
@@ -607,21 +629,6 @@ def test_blocked_passes_bit_identical_to_whole_array(
         _same_pipeline(blocked, _pipeline(spec))
 
 
-def test_rotation_fill_is_independent_of_the_block_split(
-    monkeypatch, default_params, example4_weights
-):
-    # segments of 64 nodes: blocks shorter than a segment, and blocks that
-    # cut segments anywhere, give the one-block values bit for bit
-    monkeypatch.setattr(solver, "_SEGMENT", 64)
-    spec = _example4_spec(default_params, example4_weights, 1000, _G3[:1])
-    want = _Assembled(spec, extended=True)
-    for block in (16, 100, 333):
-        monkeypatch.setattr(solver, "_BLOCK", block)
-        got = _Assembled(spec, extended=True)
-        assert np.array_equal(got.phi, want.phi)
-        assert np.array_equal(got.psi, want.psi)
-
-
 def test_nonlinearity_failing_past_first_block_keeps_its_error(
     monkeypatch, default_params, example4_weights
 ):
@@ -674,7 +681,7 @@ def test_recovery_and_defect_memory_on_example4(example4_fine):
 
 
 # ---------------------------------------------------------------------------
-# block work on the thread pool
+# block work on the helper thread
 # ---------------------------------------------------------------------------
 
 
@@ -682,28 +689,32 @@ def test_recovery_and_defect_memory_on_example4(example4_fine):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pool_bit_identical_to_inline(m, n, solver_route, default_params,
                                       example4_weights):
+    # the helper-thread route against the inline route of one CPU
     spec = _example4_spec(default_params, example4_weights, m, _G3[:n])
     solver_route(2)
-    pooled = _pipeline(spec)
+    threaded = _pipeline(spec)
     solver_route(1)
-    _same_pipeline(pooled, _pipeline(spec))
+    _same_pipeline(threaded, _pipeline(spec))
 
 
 def test_pool_stress_many_blocks_more_workers_than_cores(
     solver_route, monkeypatch, default_params, example4_weights
 ):
     # 16-node blocks make 17 blocks of 257 nodes, so the two sweeps of each
-    # fold meet 17 times and each longdouble fill has 17 tasks for 4 threads;
-    # a switch interval of a microsecond makes the threads interleave densely
+    # fold meet 17 times, and 16-node segments make each longdouble fill 17
+    # segments per factor beside the 17 blocks of w; a switch interval of a
+    # microsecond makes the two threads interleave densely
     monkeypatch.setattr(solver, "_BLOCK", 16)
+    monkeypatch.setattr(solver, "_SEGMENT", 16)
     spec = _example4_spec(default_params, example4_weights, 257, _G3[:1])
     c = np.random.default_rng(7).random(spec.grid_size)
     solver_route(1)
     asm = _Assembled(spec)
     want = asm.kernel_fold(c)
     want_ld = _Assembled(spec, extended=True)
-    solver_route(4)
+    solver_route(2)
     asm = _Assembled(spec)
+    assert not asm.inline
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -738,8 +749,8 @@ def test_public_calls_stay_on_the_calling_thread(
     _pipeline(spec)
     assert len(threads["public"]) > 20
     assert set(threads["public"]) == {threading.get_ident()}
-    # the pool did run the longdouble factor fill, so the check above means
-    # something
+    # the helper thread did run the longdouble factor fill, so the check
+    # above means something
     assert threads["fill"]
     assert threading.get_ident() not in threads["fill"]
 
@@ -754,30 +765,30 @@ def test_worker_exception_reaches_the_caller(
     raised = []
     rotate = solver._rotate
 
-    def fails_on_the_last_block(out, *args):
-        if out.size < solver._BLOCK:  # the short last block only
-            raised.append(ArithmeticError("block failed"))
+    def fails_on_psi(out, *args):
+        if out.strides[0] < 0:  # psi, filled from its right end
+            raised.append(ArithmeticError("fill failed"))
             raise raised[-1]
         return rotate(out, *args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_rotate", fails_on_the_last_block)
+        mp.setattr(solver, "_rotate", fails_on_psi)
         with pytest.raises(ArithmeticError) as info:
             recover_components(spec, u, tol=1e-10, extended_precision=True)
     assert info.value is raised[0]
-    # the pool is still there and serves the next call
+    # nothing is left behind: the next call runs as before
     got = recover_components(spec, u, tol=1e-10, extended_precision=True)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() with threads
 def test_forked_child_runs_its_own_pool(solver_route, default_params,
                                         example4_weights):
+    # a forked child folds a multi-block grid without hanging
     solver_route(2)
     spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
     u0 = GridFunction.constant(make_grid(spec), 1.0)
-    want = apply_operator(spec, u0).values  # the parent's pool is running
+    want = apply_operator(spec, u0).values  # the parent has used its helper
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
         code = 1
@@ -793,7 +804,7 @@ def test_forked_child_runs_its_own_pool(solver_route, default_params,
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung on the parent's pool")
+            pytest.fail("the forked child hung")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(status) == 0
 
@@ -801,9 +812,10 @@ def test_forked_child_runs_its_own_pool(solver_route, default_params,
 @pytest.mark.parametrize("m", [4097, 2**16])
 def test_one_block_grid_submits_nothing(m, solver_route, monkeypatch,
                                         default_params, example4_weights):
-    pool = solver_route(2)
-    submitted = count_calls(monkeypatch, pool, "submit")
+    # a one-block grid starts no helper thread
+    solver_route(2)
+    started = count_calls(monkeypatch, threading.Thread, "start")
     _pipeline(_example4_spec(default_params, example4_weights, m, _G3[:2]))
-    assert submitted == []
+    assert started == []
     _pipeline(_example4_spec(default_params, example4_weights, 2**16 + 1, _G3[:2]))
-    assert submitted
+    assert started

@@ -15,6 +15,8 @@
 #   reproduce --example 1..4
 #   constants, and check --which <the example's family>, on examples 1-3
 #   check --which uniqueness, and solve --out (stdout and profile.csv), on example 4
+#   solve (stdout) on example 4 at grid_size 2^17 + 1, a grid of several
+#   blocks, so that the solver's multi-block fold reaches the diff
 #   kernel --grid 101 and --grid 4001 on example 1
 set -euo pipefail
 
@@ -40,6 +42,10 @@ from annulus_radial.reproduce import EXAMPLE_IDS, example_config
 for k in EXAMPLE_IDS:
     with open(f"{sys.argv[1]}/example-{k}.json", "w", encoding="utf-8") as f:
         json.dump(example_config(k), f)
+doc = example_config(4)
+doc["numerics"]["grid_size"] = 2**17 + 1
+with open(f"{sys.argv[1]}/example-4-blocks.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -53,6 +59,7 @@ commands() {
     done
     echo "check --config $configs/example-4.json --which uniqueness"
     echo "solve --config $configs/example-4.json --out OUT"
+    echo "solve --config $configs/example-4-blocks.json"
     echo "kernel --config $configs/example-1.json --grid 101"
     echo "kernel --config $configs/example-1.json --grid 4001"
 }
@@ -68,7 +75,7 @@ reports() {
         (cd "$scratch" && PYTHONPATH="$tree/src" python3 -m annulus_radial.cli \
             ${cmd//OUT/$out} 2>/dev/null) || status=$?
         echo "exit $status"
-        if [[ $cmd == solve* ]]; then
+        if [[ $cmd == solve*--out* ]]; then
             echo "--- profile.csv"
             cat "$out/profile.csv" 2>/dev/null || echo "(none)"
         fi
