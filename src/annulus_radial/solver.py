@@ -16,31 +16,33 @@ linear interpolation between nodes.  Both iteration metrics (sup and L^p)
 are recorded at every Picard step.
 
 Memory: every pass over the grid runs in blocks of _BLOCK = 2^16 nodes, so
-the only m-long arrays are those a step keeps.  tracemalloc peaks per node
-(example 4, m = 2^20 + 1): Picard 80 B for n >= 2 (nodes, phi, psi, w, the
-iterate, plain trapezoid weights, the |new - u| buffer, one g*w workspace
-and two layer outputs; 72 B for n = 1), float64 recovery (5 + n)*8 B,
-longdouble recovery (7 + 2n)*8 B (its phi, psi and n outputs are
-longdouble, the rest is float64), and the defect check none: it peaks
-at ~7.3 MB whatever m (~112 B per block node).  On top of the m-long
-arrays, Picard and the float64 recovery hold ~2.1 MB of block buffers and
-the longdouble recovery ~4.2 MB.  Grids of at most 2^16 nodes run as one
-block.
+the only m-long arrays are those a step keeps.  A spec keeps its grid
+(ProblemSpec._grid: the nodes, ell and the ell-weighted trapezoid weights
+w, 24 B per node) from its first solver step for as long as it lives.
+tracemalloc peaks per node on top of that grid (example 4, m = 2^20 + 1):
+Picard 64 B for n >= 2 (phi, psi, the iterate, plain trapezoid weights,
+the |new - u| buffer, one g*w workspace and two layer outputs; 56 B for
+n = 1), float64 recovery (3 + n)*8 B, longdouble recovery (5 + 2n)*8 B (its
+phi, psi and n outputs are longdouble, the rest is float64), and the defect
+check none: it peaks at ~4.8 MB whatever m (~73 B per block node).  On top
+of the m-long arrays, Picard and the float64 recovery hold ~2.1 MB of block
+buffers, the longdouble recovery ~4.2 MB and the grid's build ~2.7 MB.
+Grids of at most 2^16 nodes run as one block.
 
 Threads: a grid of several blocks, in a process that may use more than one
 CPU, hands two jobs that touch numpy only to one helper thread, started and
 joined per call (_beside): the suffix sweep of each kernel fold, beside the
-prefix sweep, and the longdouble phi/psi rotation from the table and
-anchors, beside the ell-weighted weights w.  The calling thread keeps
-everything else: every public library call (weight_ell, trapezoid_weights,
-kernel.phi/psi, the nonlinearities), the prefix sweeps, w, and the table
-and anchors of the longdouble phi/psi (a few thousand expm1 points).  The
-helper allocates nothing: it writes into phi, psi and the fold's output,
-and into buffers that the calling thread allocated.  Every operation is the
-one the inline route performs, in the same order, so every float64 and
-longdouble number is the same bit for bit.  With one CPU or one block, both
-jobs run inline.  No thread outlives a call, so a child made by fork()
-needs no care.
+prefix sweep, and the longdouble psi rotation from the table and anchors,
+beside the phi rotation.  The calling thread keeps everything else: every
+public library call (weight_ell, trapezoid_weights, kernel.phi/psi, the
+nonlinearities), the spec's grid, the prefix sweeps, the phi rotation, and
+the table and anchors of the longdouble phi/psi (a few thousand expm1
+points).  The helper allocates nothing: it writes into psi and the fold's
+output, and into buffers that the calling thread allocated.  Every
+operation is the one the inline route performs, in the same order, so every
+float64 and longdouble number is the same bit for bit.  With one CPU or one
+block, both jobs run inline.  No thread outlives a call, so a child made by
+fork() needs no care.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +78,15 @@ __all__ = [
 
 class CycleConsistencyError(ValueError):
     """Re-derived first component strays from the input fixed point."""
+
+
+class _Grid(NamedTuple):
+    """A spec's nodes make_grid(spec), ell at them, and the ell-weighted
+    trapezoid weights w: float64, read-only."""
+
+    nodes: np.ndarray
+    ell: np.ndarray
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,6 +119,24 @@ class ProblemSpec:
             raise ValueError("metric exponent must exceed 1")
         # a factor weight's transform must carry the kernel's r0 and N
         weight_bundle(self.weights, self.transform, self.kernel)
+
+    @cached_property
+    def _grid(self) -> _Grid:
+        """The spec's grid, built block by block on the calling thread at
+        first use and kept, read-only, as long as the spec: 24 B per node.
+        A build that raises keeps nothing, so the next use starts afresh."""
+        nodes = make_grid(self)
+        m = nodes.size
+        ell, w = np.empty(m), np.empty(m)
+        for a, b in _blocks(m):
+            # one neighbour node on each side gives the block's own weights
+            lo, hi = max(a - 1, 0), min(b + 1, m)
+            ell[a:b] = weight_ell(nodes[a:b], self.weights, self.transform)
+            np.multiply(trapezoid_weights(nodes[lo:hi])[a - lo:b - lo], ell[a:b],
+                        out=w[a:b])
+        for x in (nodes, ell, w):
+            x.flags.writeable = False
+        return _Grid(nodes, ell, w)
 
 
 @dataclass
@@ -263,7 +293,7 @@ def _rotate(out, anchors, table, tmp) -> None:
 
 
 class _Assembled:
-    """Grid, weights, and scaled kernel factors precomputed once per spec.
+    """Scaled kernel factors over the spec's grid, precomputed once per call.
 
     extended=True runs the kernel folds in numpy's longdouble: the component
     values then carry sub-float64 representation noise, which is what a
@@ -289,11 +319,11 @@ class _Assembled:
     the anchors, not the nodes, carry longdouble abscissae: the nodes of
     np.linspace in longdouble at the anchor indices (_abscissae).
 
-    The float64 phi, psi and the ell-weighted trapezoid weights w are filled
-    one block at a time; ell itself is never held for the whole grid.  The
-    calling thread makes the rotation's table and anchors, then the helper
-    thread fills the longdouble phi/psi from them, one segment at a time,
-    while the calling thread fills w.
+    The nodes and the ell-weighted trapezoid weights w are the spec's
+    grid (ProblemSpec._grid), shared by every assembly of the spec.  The
+    float64 phi and psi are filled one block at a time.  The calling thread
+    makes the rotation's table and anchors, then fills the longdouble phi
+    from them one segment at a time while the helper thread fills psi.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -305,42 +335,25 @@ class _Assembled:
         self.spec = spec
         dtype = np.longdouble if extended else np.float64
         m = spec.grid_size
-        self.nodes = make_grid(spec)
+        self.nodes, _, self.w = spec._grid
         self.blocks = _blocks(m)
         # one block, or one CPU, leaves a helper thread nothing to overlap
         self.inline = len(self.blocks) == 1 or _cpus() == 1
         self.phi, self.psi = np.empty(m, dtype), np.empty(m, dtype)
-        self.w = np.empty(m)
         self.root = np.sqrt(dtype(varrho(spec.kernel)))
         if extended:
             phi_anchors, psi_anchors, table = self._rotation()
-            tmp = np.empty(min(_SEGMENT, m), dtype)
-
-            def fill():
-                _rotate(self.phi, phi_anchors, table, tmp)
-                _rotate(self.psi[::-1], psi_anchors, table, tmp)
-
-            _beside(self._weights, fill, self.inline)
+            # one segment buffer per factor, allocated here
+            tmp = [np.empty(min(_SEGMENT, m), dtype) for _ in range(2)]
+            _beside(lambda: _rotate(self.phi, phi_anchors, table, tmp[0]),
+                    lambda: _rotate(self.psi[::-1], psi_anchors, table, tmp[1]),
+                    self.inline)
         else:
-            self._weights()
             k = spec.kernel
             for a, b in self.blocks:
                 x = self.nodes[a:b]
                 np.divide(phi(k, x), self.root, out=self.phi[a:b])
                 np.divide(psi(k, x), self.root, out=self.psi[a:b])
-
-    def _weights(self) -> None:
-        """Fill w block by block (calling thread: it evaluates ell)."""
-        spec, m = self.spec, self.nodes.size
-        for a, b in self.blocks:
-            # one neighbour node on each side gives the block's own weights
-            lo, hi = max(a - 1, 0), min(b + 1, m)
-            ell = weight_ell(self.nodes[a:b], spec.weights, spec.transform)
-            np.multiply(
-                trapezoid_weights(self.nodes[lo:hi])[a - lo:b - lo],
-                np.asarray(ell, dtype=float),
-                out=self.w[a:b],
-            )
 
     def _rotation(self) -> tuple:
         """(phi anchors, psi anchors, table) of the longdouble fill.
@@ -474,11 +487,17 @@ class _Assembled:
         return values
 
 
+def _on_grid(spec: ProblemSpec, nodes: np.ndarray) -> bool:
+    """Whether nodes are the spec's grid make_grid(spec)."""
+    grid = spec._grid.nodes
+    return nodes is grid or np.array_equal(nodes, grid)
+
+
 def _match_grid(asm: _Assembled, u: GridFunction) -> np.ndarray:
     """u's values at asm's nodes, the float64 grid make_grid(spec) of both
     precisions: a u on that grid is taken as it is, any other is
     interpolated."""
-    if u.nodes.shape == asm.nodes.shape and np.array_equal(u.nodes, asm.nodes):
+    if _on_grid(asm.spec, u.nodes):
         return u.values
     return u(asm.nodes)
 
@@ -621,8 +640,9 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
     """(absolute, relative) worst defect of D2 u_i - r0^2 u_i + ell * g_i(u_{i+1})
     over interior nodes.
 
-    Runs block by block: each block evaluates ell and every g_i at its nodes
-    and their two neighbours only, and keeps running maxima.
+    The components must sit on the spec's grid make_grid(spec), whose ell
+    the defect reads.  Runs block by block: each block evaluates every g_i
+    at its nodes and their two neighbours only, and keeps running maxima.
 
     The absolute defect is O(h^2), but its constant grows like the weight's
     second derivative near the cutoff; the relative one divides by the local
@@ -630,9 +650,9 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
     """
     if len(components) != spec.n:
         raise ValueError("component count must equal n")
-    nodes = components[0].nodes
-    if nodes.size < 3:
-        raise ValueError("need an interior node")
+    if not all(_on_grid(spec, c.nodes) for c in components):
+        raise ValueError("components must sit on the grid make_grid(spec)")
+    nodes, ell, _ = spec._grid
     h = nodes[1] - nodes[0]
     r2 = spec.kernel.r0 ** 2
     # per component, the block maxima of the defect and the relative defect
@@ -640,9 +660,6 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
     rel_max: list = [[] for _ in range(spec.n)]
     for a, b in _blocks(nodes.size - 2):
         win = slice(a, b + 2)  # the block's interior nodes and both neighbours
-        ell = np.asarray(
-            weight_ell(nodes[win], spec.weights, spec.transform), dtype=float
-        )
         for i in range(spec.n):
             u = components[i].values[win]
             v = np.asarray(components[(i + 1) % spec.n].values[win], dtype=float)
@@ -650,10 +667,14 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
             if gv.ndim == 0:
                 gv = np.full(u.shape, float(gv))
             # only the second difference needs the components' precision;
-            # the rest runs in float64 (a no-op for float64 components)
-            d2 = np.asarray(u[:-2] - 2.0 * u[1:-1] + u[2:], dtype=float) / h**2
+            # the rest runs in float64 (a no-op for float64 components).  In
+            # place, as (u[:-2] - 2 u[1:-1]) + u[2:], with one temporary
+            d2 = np.multiply(u[1:-1], 2.0)
+            np.subtract(u[:-2], d2, out=d2)
+            d2 += u[2:]
+            d2 = np.asarray(d2, dtype=float) / h**2
             mid = np.asarray(u[1:-1], dtype=float)
-            forcing = ell[1:-1] * gv[1:-1]
+            forcing = ell[a + 1:b + 1] * gv[1:-1]
             res = np.abs(d2 - r2 * mid + forcing)
             scale = 1e-30 + np.abs(d2) + r2 * np.abs(mid) + np.abs(forcing)
             res_max[i].append(np.max(res))

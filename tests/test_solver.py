@@ -597,12 +597,22 @@ def _whole_array(mp, m):
     mp.setattr(_Assembled, "kernel_fold", whole_array_fold)
 
 
-def _pipeline(spec):
-    u, trace = picard_solve(spec, tol=1e-12)
-    c64 = recover_components(spec, u, tol=1e-10)
-    cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
+def _pipeline(spec, fresh=False):
+    """Solve, both recoveries and both defects on spec; with fresh set, each
+    call takes a copy of spec that has not built its grid yet."""
+    on = (lambda: dataclasses.replace(spec)) if fresh else (lambda: spec)
+    u, trace = picard_solve(on(), tol=1e-12)
+    c64 = recover_components(on(), u, tol=1e-10)
+    cld = recover_components(on(), u, tol=1e-10, extended_precision=True)
     return (u, trace.d_history, trace.rho_history, c64, cld,
-            worst_defects(spec, c64), worst_defects(spec, cld))
+            worst_defects(on(), c64), worst_defects(on(), cld))
+
+
+def _significant(a):
+    """a's bytes that carry its values: x87 longdouble pads 10 bytes to 16."""
+    if a.dtype == np.longdouble and np.finfo(np.longdouble).nmant == 63:
+        return a.view(np.uint8).reshape(a.size, a.itemsize)[:, :10]
+    return a
 
 
 def _same_pipeline(got, want):
@@ -612,7 +622,7 @@ def _same_pipeline(got, want):
     assert (d_hist, rho_hist) == want[1:3]
     for a, b in zip(c64 + cld, want[3] + want[4]):
         assert a.values.dtype == b.values.dtype
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(_significant(a.values), _significant(b.values))
         assert np.array_equal(a.nodes, b.nodes)
     assert (d64, dld) == want[5:]
 
@@ -626,7 +636,8 @@ def test_blocked_passes_bit_identical_to_whole_array(
     blocked = _pipeline(spec)
     with monkeypatch.context() as mp:
         _whole_array(mp, m)
-        _same_pipeline(blocked, _pipeline(spec))
+        # a fresh spec, so that its grid is built in one block too
+        _same_pipeline(blocked, _pipeline(dataclasses.replace(spec)))
 
 
 def test_nonlinearity_failing_past_first_block_keeps_its_error(
@@ -668,16 +679,17 @@ def _traced_peak(run) -> int:
 
 
 def test_recovery_and_defect_memory_on_example4(example4_fine):
-    # tracemalloc peaks measured at m = 2^18 + 1, pinned with ~10% headroom
+    # tracemalloc peaks measured at m = 2^18 + 1, pinned with ~10% headroom;
+    # the spec's grid (nodes, ell, w) was built by the fixture's solve
     spec, u = example4_fine
     peak = _traced_peak(lambda: recover_components(spec, u, tol=1e-10))
-    assert peak <= 18.0e6  # measured 16.3 MB, 62 B/node
+    assert peak <= 14.0e6  # measured 12.6 MB, 48 B/node
     peak = _traced_peak(
         lambda: recover_components(spec, u, tol=1e-10, extended_precision=True))
-    assert peak <= 30.0e6  # measured 27.5 MB, 105 B/node
+    assert peak <= 25.7e6  # measured 23.3 MB, 89 B/node
     cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
     # every temporary of the defect is one block long, whatever m
-    assert _traced_peak(lambda: worst_defects(spec, cld)) <= 8.1e6  # measured 7.3 MB
+    assert _traced_peak(lambda: worst_defects(spec, cld)) <= 5.3e6  # measured 4.8 MB
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +713,8 @@ def test_pool_stress_many_blocks_more_workers_than_cores(
     solver_route, monkeypatch, default_params, example4_weights
 ):
     # 16-node blocks make 17 blocks of 257 nodes, so the two sweeps of each
-    # fold meet 17 times, and 16-node segments make each longdouble fill 17
-    # segments per factor beside the 17 blocks of w; a switch interval of a
+    # fold meet 17 times, and 16-node segments make the longdouble phi and
+    # psi rotations 17 segments each, side by side; a switch interval of a
     # microsecond makes the two threads interleave densely
     monkeypatch.setattr(solver, "_BLOCK", 16)
     monkeypatch.setattr(solver, "_SEGMENT", 16)
@@ -724,7 +736,6 @@ def test_pool_stress_many_blocks_more_workers_than_cores(
             got_ld = _Assembled(spec, extended=True)
             assert np.array_equal(got_ld.phi, want_ld.phi)
             assert np.array_equal(got_ld.psi, want_ld.psi)
-            assert np.array_equal(got_ld.w, want_ld.w)
     finally:
         sys.setswitchinterval(interval)
 
@@ -749,10 +760,9 @@ def test_public_calls_stay_on_the_calling_thread(
     _pipeline(spec)
     assert len(threads["public"]) > 20
     assert set(threads["public"]) == {threading.get_ident()}
-    # the helper thread did run the longdouble factor fill, so the check
+    # the helper thread did run a longdouble factor rotation, so the check
     # above means something
-    assert threads["fill"]
-    assert threading.get_ident() not in threads["fill"]
+    assert set(threads["fill"]) - {threading.get_ident()}
 
 
 def test_worker_exception_reaches_the_caller(
@@ -819,3 +829,67 @@ def test_one_block_grid_submits_nothing(m, solver_route, monkeypatch,
     assert started == []
     _pipeline(_example4_spec(default_params, example4_weights, 2**16 + 1, _G3[:2]))
     assert started
+
+
+# ---------------------------------------------------------------------------
+# the spec's grid: nodes, ell and w, built once per spec
+# ---------------------------------------------------------------------------
+
+
+def test_worst_defects_refuses_components_off_the_spec_grid(
+    default_params, synthetic_unit_weight
+):
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["1"])
+    nodes = make_grid(spec)
+    values = np.sin(17.0 * nodes) + 2.0
+    want = worst_defects(spec, [GridFunction(nodes, values)])
+    shifted = np.append(nodes[1:], 2.0 * nodes[-1] - nodes[-2])  # one node right
+    other_m = make_grid(dataclasses.replace(spec, grid_size=spec.grid_size + 1))
+    for off in (shifted, other_m):
+        with pytest.raises(ValueError, match="make_grid"):
+            worst_defects(spec, [GridFunction(off, np.sin(17.0 * off) + 2.0)])
+    assert worst_defects(spec, [GridFunction(nodes.copy(), values)]) == want
+
+
+@pytest.mark.parametrize("m", [4097, 2**17 + 1])
+def test_weight_ell_runs_once_per_block_per_spec(
+    m, monkeypatch, default_params, example4_weights
+):
+    calls = count_calls(monkeypatch, solver, "weight_ell")
+    spec = _example4_spec(default_params, example4_weights, m, _G3[:2])
+    _pipeline(spec)
+    assert len(multistart_solve(spec, [0.0, 0.5, 1.0], tol=1e-12)) == 1
+    assert [s.size for s, *_ in calls] == [b - a for a, b in solver._blocks(m)]
+    assert len(calls) == -(-m // 2**16)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("m", [4097, 2**17 + 1])
+def test_shared_spec_matches_a_fresh_spec_per_call(
+    m, cpus, solver_route, default_params, example4_weights
+):
+    solver_route(cpus)
+    spec = _example4_spec(default_params, example4_weights, m, _G3[:2])
+    got = _pipeline(spec)
+    _same_pipeline(got, _pipeline(spec, fresh=True))
+    u, c64, cld = got[0], got[3], got[4]
+    grid = spec._grid
+    assert u.nodes is grid.nodes and all(c.nodes is grid.nodes for c in c64 + cld)
+    for x in (u.nodes, grid.ell, grid.w):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.5
+
+
+def test_failed_grid_build_keeps_nothing(default_params):
+    # ell fails in the grid's last block only: s > 0.9
+    ws = WeightSpec(synthetic_override=parse("sqrt(0.9 - t)", "t"), eval_floor=1e-9)
+    spec = ProblemSpec(n=1, g=(parse("u/100", "u"),), kernel=default_params, weights=ws,
+                       transform=TS, grid_size=2**17 + 1, cutoff=1e-3)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            picard_solve(spec)
+        errors.append((type(info.value), str(info.value)))
+        assert "_grid" not in vars(spec)
+    assert errors[0] == errors[1]
+    assert "sqrt of negative value" in errors[0][1]

@@ -17,6 +17,7 @@
 #   check --which uniqueness, and solve --out (stdout and profile.csv), on example 4
 #   solve (stdout) on example 4 at grid_size 2^17 + 1, a grid of several
 #   blocks, so that the solver's multi-block fold reaches the diff
+#   solve --multistart on example 1, several Picard runs on one spec
 #   kernel --grid 101 and --grid 4001 on example 1
 set -euo pipefail
 
@@ -60,6 +61,7 @@ commands() {
     echo "check --config $configs/example-4.json --which uniqueness"
     echo "solve --config $configs/example-4.json --out OUT"
     echo "solve --config $configs/example-4-blocks.json"
+    echo "solve --config $configs/example-1.json --multistart"
     echo "kernel --config $configs/example-1.json --grid 101"
     echo "kernel --config $configs/example-1.json --grid 4001"
 }
