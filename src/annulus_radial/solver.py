@@ -26,7 +26,8 @@ n = 1), float64 recovery (3 + n)*8 B, longdouble recovery (5 + 2n)*8 B (its
 phi, psi and n outputs are longdouble, the rest is float64), and the defect
 check none: it peaks at ~4.8 MB whatever m (~73 B per block node).  On top
 of the m-long arrays, Picard and the float64 recovery hold ~2.1 MB of block
-buffers, the longdouble recovery ~4.2 MB and the grid's build ~2.7 MB.
+buffers, the longdouble recovery ~4.5 MB (block and segment buffers and the
+rotation table) and the grid's build ~2.7 MB.
 Grids of at most 2^16 nodes run as one block.
 
 Threads: a grid of several blocks, in a process that may use more than one

@@ -58,7 +58,10 @@ class EstimationUnstableWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Radial scale r0, dimension N, optional annulus radii for reporting."""
+    """Radial scale r0, dimension N, optional annulus radii R1 < R2.
+
+    The radii are validated and then read by nothing: no report shows them,
+    and the solver works on the exterior problem r0 < r < infinity."""
 
     r0: float = 1.0
     N: int = 3

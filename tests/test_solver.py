@@ -400,10 +400,21 @@ def _factor_spec(bc, r0, m, weight):
                        weights=weight, transform=TS, grid_size=m, cutoff=1e-3)
 
 
-@pytest.mark.parametrize("r0", [0.1, 5.0, 50.0])
-@pytest.mark.parametrize("bc", list(_END_CONDITIONS.values()), ids=list(_END_CONDITIONS))
-def test_longdouble_factors_match_mpmath(bc, r0, synthetic_unit_weight):
+# (ends, r0, segment length): the default _SEGMENT makes one segment of
+# the 1025 nodes, 16-node segments make 65 per factor
+_FACTOR_CASES = [
+    pytest.param(_END_CONDITIONS[ends], r0, seg,
+                 id=f"{ends}-{r0}" + (f"-seg{seg}" if seg else ""))
+    for seg in (None, 16) for r0 in (0.1, 5.0, 50.0) for ends in _END_CONDITIONS
+]
+
+
+@pytest.mark.parametrize("bc, r0, segment", _FACTOR_CASES)
+def test_longdouble_factors_match_mpmath(bc, r0, segment, monkeypatch,
+                                         synthetic_unit_weight):
     mpmath = pytest.importorskip("mpmath")
+    if segment is not None:
+        monkeypatch.setattr(solver, "_SEGMENT", segment)
     m = 1025
     spec = _factor_spec(bc, r0, m, synthetic_unit_weight)
     asm = _Assembled(spec, extended=True)
