@@ -53,7 +53,6 @@ from .weights import (
     singularity_exponent,
     upsilon,
     weight_ell,
-    xi_hat,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,10 @@ divergent integral must never silently become a digit string).
 Window checks sample a nonlinearity over a stated u-interval (stratified
 grid plus golden-section refinement around the best candidates), compare the
 extremum against bound * window-parameter, and report the margin; borderline
-margins are flagged inconclusive rather than asserted.  Each family first
+margins are flagged inconclusive rather than asserted.  A grid of window
+extremum or Lipschitz estimate is one array call of the nonlinearity, whose
+scalar result is broadcast to the grid and whose exceptions propagate; the
+golden-section polish calls it at Python floats.  Each family first
 plans its windows (WINDOW_FAMILIES maps a family to its window parameters
 and planner); one judge then evaluates each distinct window once, so equal
 nonlinearities, and several constants sets judged together by
@@ -343,17 +346,9 @@ class WindowCheck:
 
 
 def _eval_many(g: Callable, xs: np.ndarray) -> np.ndarray:
-    """g at every point of xs: one array call; point by point only for a
-    plain callable that cannot take an array."""
-    if isinstance(g, Expr):
-        return g.eval_array(xs)
-    try:
-        vals = np.asarray(g(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
-    return np.asarray([float(g(float(x))) for x in xs])
+    """g at every point of xs in one array call, a scalar result broadcast
+    to xs's shape; an exception of g propagates."""
+    return np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

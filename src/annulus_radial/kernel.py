@@ -31,8 +31,6 @@ __all__ = [
     "verify_kernel_bounds",
     "phi",
     "psi",
-    "phi_prime",
-    "psi_prime",
 ]
 
 
@@ -56,6 +54,10 @@ class KernelParams:
     N: int = 3
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta", "r0", "N"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DegenerateParametersError(f"{name} must be finite, got {value!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             if getattr(self, name) < 0:
                 raise DegenerateParametersError(f"{name} must be nonnegative")
@@ -120,18 +122,6 @@ def psi(p: KernelParams, x):
     return p.gamma * np.sinh(p.r0 * (1.0 - x)) + p.delta * p.r0 * np.cosh(p.r0 * (1.0 - x))
 
 
-def phi_prime(p: KernelParams, x):
-    x = np.asarray(x, dtype=float)
-    return p.r0 * (p.alpha * np.cosh(p.r0 * x) + p.beta * p.r0 * np.sinh(p.r0 * x))
-
-
-def psi_prime(p: KernelParams, x):
-    x = np.asarray(x, dtype=float)
-    return -p.r0 * (
-        p.gamma * np.cosh(p.r0 * (1.0 - x)) + p.delta * p.r0 * np.sinh(p.r0 * (1.0 - x))
-    )
-
-
 def varrho(p: KernelParams) -> float:
     """r0^2(ad+bc)cosh(r0) + r0(ac+bd r0^2)sinh(r0); finite and nonzero
     for every KernelParams (construction rejects the rest)."""
@@ -166,17 +156,16 @@ def kernel_diag(p: KernelParams, t):
     return _phi_scaled(p, t) * _psi_scaled(p, t) / _varrho_scaled(p)
 
 
-def kernel_matrix(p: KernelParams, s_nodes, t_nodes=None) -> np.ndarray:
-    """Dense kernel matrix M[i, j] = Xi(s_i, t_j).
+def kernel_matrix(p: KernelParams, nodes) -> np.ndarray:
+    """Dense kernel matrix M[i, j] = Xi(x_i, x_j) over the nodes x.
 
     O(m^2) time and memory: it serves `kernel --table` and the dense
     reference route of the bound certificate in the tests.  The solver uses
     the separable phi/psi form and verify_kernel_bounds evaluates O(m)
     entries with the same expression instead of this matrix.
     """
-    s = np.asarray(s_nodes, dtype=float)
-    t = s if t_nodes is None else np.asarray(t_nodes, dtype=float)
-    return kernel_eval(p, s[:, None], t[None, :])
+    x = np.asarray(nodes, dtype=float)
+    return kernel_eval(p, x[:, None], x[None, :])
 
 
 def _boundary_ratios(p: KernelParams) -> tuple:

@@ -18,6 +18,11 @@ smooth exponentials; all rungs of a ladder share one array call per round.
 The independent composite-Simpson cross-checks live in the test suite, not
 here.
 
+Every function handed to this module is called on float64 arrays of
+abscissae only.  It returns an array of the input's shape, or a scalar,
+which is broadcast to it; any exception it raises becomes an
+EvaluationError("integrand failed: ...").
+
 The endpoint suprema and infima sample each rung [eps, 1] on
 linspace(eps, 1, n) together with geomspace(eps, 1, n), for n = 2049, 4097,
 ... up to 2^18 + 1, and stop once two levels agree within tol.  Both
@@ -26,10 +31,9 @@ points), so each level evaluates only the points the level before lacks.
 The first two levels' points are kept per cutoff, read-only, in a bounded
 cache: every rung needs both, because the stopping rule compares two
 levels, and most rungs stop there.  Deeper levels are built when reached.
-A plain callable goes point by point here too.  Traced on 2 vCPUs (Python
-3.11, numpy 2.4), the extrema take 14-15 ms of an audit cycle (`reproduce`
-of the four examples) and 22-27 ms of a screen cycle, where evaluating
-every level's whole grid took 44-48 and 63-65 ms.
+Traced on 2 vCPUs (Python 3.11, numpy 2.4), the extrema take 14-15 ms of an
+audit cycle (`reproduce` of the four examples) and 22-27 ms of a screen
+cycle, where evaluating every level's whole grid took 44-48 and 63-65 ms.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ DEFAULT_CUTOFFS = tuple(10.0 ** (-k) for k in range(2, 9))  # 1e-2 .. 1e-8
 
 
 class EvaluationError(ValueError):
-    """Integrand raised at some abscissa; message carries the point."""
+    """The integrand raised; the message carries its own error."""
 
 
 @dataclass
@@ -86,18 +90,6 @@ class IntegralResult:
             "exponent_estimate": self.exponent_estimate,
             "cutoff_trace": [[e, v] for e, v in self.cutoff_trace],
         }
-
-
-def _checked(f: Callable) -> Callable:
-    def g(x: float) -> float:
-        try:
-            return float(f(x))
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"integrand failed at t={x!r}: {exc}") from exc
-
-    return g
 
 
 def _validate_cutoffs(cutoffs: Sequence[float]) -> list:
@@ -126,23 +118,15 @@ _MAX_SUBINTERVALS = 200  # per rung
 
 
 def _evaluator(f: Callable) -> Callable:
-    """Map a flat array of abscissae to float values of f: one array call,
-    or point by point through _checked once f refuses an array (it raises,
-    or returns the wrong shape), so that errors name their abscissa."""
-    pointwise = False
-    g = _checked(f)
+    """Map an array of abscissae to float values of f in one array call; a
+    scalar result is broadcast to the input's shape, and any exception
+    becomes an EvaluationError."""
 
     def evaluate(t: np.ndarray) -> np.ndarray:
-        nonlocal pointwise
-        if not pointwise:
-            try:
-                y = np.asarray(f(t), dtype=float)
-            except Exception:  # a plain callable; the point route re-raises
-                y = None
-            if y is not None and y.shape == t.shape:
-                return y
-            pointwise = True
-        return np.array([g(x) for x in t.tolist()], dtype=float)
+        try:
+            return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
+        except Exception as exc:
+            raise EvaluationError(f"integrand failed: {exc}") from exc
 
     return evaluate
 
@@ -345,7 +329,7 @@ def _classify_levels(eps: list, levels: list, tol: float, mode: str) -> Integral
 
 def _extremum_ladder(f: Callable, tol: float, cutoffs: Sequence[float], mode: str):
     eps = _validate_cutoffs(cutoffs)
-    evaluate = _evaluator(f)  # one per ladder, so a plain callable is found once
+    evaluate = _evaluator(f)
     levels = [_extremum_on(evaluate, e, tol, mode) for e in eps]
     return _classify_levels(eps, levels, tol, mode)
 

@@ -13,7 +13,8 @@ targets need).
 
 Discretization: uniform grid on [cutoff, 1], trapezoid weights, piecewise
 linear interpolation between nodes.  Both iteration metrics (sup and L^p)
-are recorded at every Picard step.
+are recorded at every Picard step.  A GridFunction handed to an entry point
+must sit on the spec's grid make_grid(spec); any other raises ValueError.
 
 Memory: every pass over the grid runs in blocks of _BLOCK = 2^16 nodes, so
 the only m-long arrays are those a step keeps.  A spec keeps its grid
@@ -60,7 +61,14 @@ import numpy as np
 from .grid import GridFunction, sup_distance, trapezoid_weights
 from .kernel import KernelParams, phi, psi, varrho
 from .quadrature import EvaluationError
-from .weights import TransformSpec, WeightSpec, kelvin_s, weight_bundle, weight_ell
+from .weights import (
+    DEFAULT_EVAL_FLOOR,
+    TransformSpec,
+    WeightSpec,
+    kelvin_s,
+    weight_bundle,
+    weight_ell,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -112,7 +120,7 @@ class ProblemSpec:
             raise ValueError("grid_size must be >= 16")
         if not (0.0 < self.cutoff < 1.0):
             raise ValueError("cutoff must lie in (0, 1)")
-        if self.cutoff < self.weights.eval_floor:
+        if self.cutoff < DEFAULT_EVAL_FLOOR:
             raise ValueError("cutoff below the weight evaluation floor")
         if not math.isfinite(self.metric_p):
             raise ValueError(f"metric exponent must be finite, got {self.metric_p!r}")
@@ -488,25 +496,19 @@ class _Assembled:
         return values
 
 
-def _on_grid(spec: ProblemSpec, nodes: np.ndarray) -> bool:
-    """Whether nodes are the spec's grid make_grid(spec)."""
+def _grid_values(spec: ProblemSpec, u: GridFunction, name: str) -> np.ndarray:
+    """u's values; ValueError unless u sits on the spec's grid make_grid(spec)."""
     grid = spec._grid.nodes
-    return nodes is grid or np.array_equal(nodes, grid)
-
-
-def _match_grid(asm: _Assembled, u: GridFunction) -> np.ndarray:
-    """u's values at asm's nodes, the float64 grid make_grid(spec) of both
-    precisions: a u on that grid is taken as it is, any other is
-    interpolated."""
-    if _on_grid(asm.spec, u.nodes):
-        return u.values
-    return u(asm.nodes)
+    if not (u.nodes is grid or np.array_equal(u.nodes, grid)):
+        raise ValueError(f"{name} must sit on the grid make_grid(spec)")
+    return u.values
 
 
 def apply_operator(spec: ProblemSpec, u1: GridFunction) -> GridFunction:
-    """One application of the folded n-layer operator to u1."""
+    """One application of the folded n-layer operator to u1, which must sit
+    on the grid make_grid(spec)."""
     asm = _Assembled(spec)
-    return GridFunction(asm.nodes, asm.apply(_match_grid(asm, u1)))
+    return GridFunction(asm.nodes, asm.apply(_grid_values(spec, u1, "u1")))
 
 
 def _check_tol(tol: float) -> None:
@@ -526,14 +528,16 @@ def _lp_norm(diff: np.ndarray, w: np.ndarray, p: float) -> float:
 def picard_solve(
     spec: ProblemSpec,
     init: GridFunction | float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    *,
+    tol: float,
+    max_iter: int,
 ) -> tuple:
     """Iterate u <- operator(u) until the sup metric drops below tol.
 
     Returns (fixed point candidate, SolveTrace); the trace carries the sup
     and L^p distances of every step and a tail-ratio decay estimate.  init
-    is None (zero), a finite level, or a GridFunction.
+    is None (zero), a finite level, or a GridFunction on the grid
+    make_grid(spec).
     Divergence (sup distance growing 10x over five steps, or non-finite
     iterates) stops the loop with status 'diverging'.
     """
@@ -544,7 +548,7 @@ def picard_solve(
     if init is None:
         u = np.zeros_like(asm.nodes)
     elif isinstance(init, GridFunction):
-        u = np.asarray(_match_grid(asm, init), dtype=float).copy()
+        u = np.array(_grid_values(spec, init, "init"), dtype=float)
     else:
         level = float(init)
         if not math.isfinite(level):
@@ -610,7 +614,7 @@ def picard_solve(
 
 
 def recover_components(
-    spec: ProblemSpec, u1: GridFunction, tol: float = 1e-8,
+    spec: ProblemSpec, u1: GridFunction, *, tol: float,
     extended_precision: bool = False,
 ) -> list:
     """Rebuild (u_1, ..., u_n) from a fixed point of the folded operator.
@@ -618,12 +622,13 @@ def recover_components(
     u_n comes from u_1, then u_{n-1} from u_n, and so on; the re-derived u_1
     must close the cycle to within 10*tol.  extended_precision reruns the
     layer folds in longdouble so the component values are clean enough for
-    second-difference defect checks on very fine grids; the components sit
-    on the float64 grid make_grid(spec) in both precisions.
+    second-difference defect checks on very fine grids.  u1 must sit on the
+    float64 grid make_grid(spec), and the components sit on it in both
+    precisions.
     """
     _check_tol(tol)
     asm = _Assembled(spec, extended=extended_precision)
-    base = np.asarray(_match_grid(asm, u1), dtype=float)
+    base = np.asarray(_grid_values(spec, u1, "u1"), dtype=float)
     comps = list(asm.layers(base))[::-1]
     # in float64 on the rounded u_1: the check is against 10*tol
     closure = float(np.max([
@@ -651,8 +656,8 @@ def worst_defects(spec: ProblemSpec, components: Sequence[GridFunction]) -> tupl
     """
     if len(components) != spec.n:
         raise ValueError("component count must equal n")
-    if not all(_on_grid(spec, c.nodes) for c in components):
-        raise ValueError("components must sit on the grid make_grid(spec)")
+    for c in components:
+        _grid_values(spec, c, "components")
     nodes, ell, _ = spec._grid
     h = nodes[1] - nodes[0]
     r2 = spec.kernel.r0 ** 2
@@ -718,8 +723,9 @@ def radial_profile(
 def multistart_solve(
     spec: ProblemSpec,
     levels: Sequence[float],
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    *,
+    tol: float,
+    max_iter: int,
 ) -> list:
     """Picard from several constant starts; dedupe converged fixed points.
 

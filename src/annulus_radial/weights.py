@@ -7,10 +7,10 @@ weight becomes
     ell(s) = r0^2/(N-2)^2 * s^(2(N-1)/(2-N)) * prod_i f_i(r0 * s^(1/(2-N)))
 
 where f_i are the raw radial factors.  The power s^(2(N-1)/(2-N)) is singular
-at s = 0 (s^-4 for N = 3), so every evaluation is restricted to a positive
-floor.  A synthetic override replaces the whole weight bundle with a given
-omega(s), which keeps the solver and its oracles testable on integrable
-weights.
+at s = 0 (s^-4 for N = 3), so every evaluation is restricted to
+[DEFAULT_EVAL_FLOOR, 1].  A synthetic override replaces the whole weight
+bundle with a given omega(s), which keeps the solver and its oracles
+testable on integrable weights.
 
 weight_bundle is the one place the weight is composed: it returns the
 prefactor, the power and the factors as functions of s, with omega standing
@@ -22,6 +22,7 @@ weight uses neither and is exempt.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -40,15 +41,13 @@ __all__ = [
     "kelvin_r",
     "singular_power",
     "weight_bundle",
-    "factor_product",
     "weight_ell",
-    "xi_hat",
     "upsilon",
     "singularity_exponent",
     "DEFAULT_EVAL_FLOOR",
 ]
 
-DEFAULT_EVAL_FLOOR = 1e-8
+DEFAULT_EVAL_FLOOR = 1e-8  # the least s at which the weight is evaluated
 _RESIDUAL_THRESHOLD = 0.1  # log10 units: rms residual of an unstable exponent fit
 
 
@@ -69,6 +68,10 @@ class TransformSpec:
     R2: float | None = None
 
     def __post_init__(self):
+        for name in ("r0", "N", "R1", "R2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.r0 <= 0:
             raise ValueError("r0 must be positive")
         if int(self.N) != self.N or self.N < 3:
@@ -87,13 +90,13 @@ class WeightSpec:
     in the transformed variable through t = r0 * s^(1/(2-N)).  lower_bounds
     are the declared per-factor infima (when the user asserts them);
     synthetic_override is an expression in t that replaces the whole weight.
+    The weight is evaluated on [DEFAULT_EVAL_FLOOR, 1] only.
     """
 
     factors: tuple | None = None
     p_exponents: tuple = ()
     lower_bounds: tuple | None = None
     synthetic_override: Expr | Callable | None = None
-    eval_floor: float = DEFAULT_EVAL_FLOOR
 
     def __post_init__(self):
         if (self.factors is None) == (self.synthetic_override is None):
@@ -116,8 +119,6 @@ class WeightSpec:
             for lb in self.lower_bounds:
                 if not lb > 0:
                     raise ValueError("declared lower bounds must be positive")
-        if not (0 < self.eval_floor < 1):
-            raise ValueError("eval_floor must lie in (0, 1)")
 
     @property
     def synthetic(self) -> bool:
@@ -148,10 +149,10 @@ def singular_power(spec) -> float:
     return 2.0 * (spec.N - 1.0) / (2.0 - spec.N)
 
 
-def _check_floor(s: np.ndarray, floor: float):
-    if (s < floor).any() or (s > 1.0).any():
+def _check_floor(s: np.ndarray):
+    if (s < DEFAULT_EVAL_FLOOR).any() or (s > 1.0).any():
         raise DomainError(
-            f"weight evaluation restricted to [{floor:g}, 1]"
+            f"weight evaluation restricted to [{DEFAULT_EVAL_FLOOR:g}, 1]"
         )
 
 
@@ -186,35 +187,20 @@ def _product(factors, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def factor_product(ws: WeightSpec, s, ts: TransformSpec):
-    """Product of all transformed factors at s (omega for a synthetic weight)."""
-    s_arr = np.asarray(s, dtype=float)
-    out = _product(weight_bundle(ws, ts)[2], s_arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def weight_ell(s, ws: WeightSpec, ts: TransformSpec):
     """Full transformed weight ell(s), or omega(s) in synthetic mode."""
     s_arr = np.asarray(s, dtype=float)
-    _check_floor(s_arr, ws.eval_floor)
+    _check_floor(s_arr)
     pref, power, factors = weight_bundle(ws, ts)
     out = pref * s_arr ** power * _product(factors, s_arr)
     return float(out) if out.ndim == 0 else out
 
 
-def xi_hat(t, params: KernelParams) -> float:
-    """Kernel diagonal times the singular power: Xi(t,t) * t^(2(N-1)/(2-N))."""
-    t_arr = np.asarray(t, dtype=float)
-    if (t_arr <= 0).any() or (t_arr > 1).any():
-        raise DomainError("xi_hat is defined on (0, 1]")
-    out = kernel_diag(params, t_arr) * t_arr ** singular_power(params)
-    return float(out) if out.ndim == 0 else out
-
-
 def upsilon(t, params: KernelParams, ws: WeightSpec, ts: TransformSpec):
-    """Diagonal-weighted kernel: xi_hat(t) * prod factors, or Xi(t,t)*omega(t)."""
+    """Diagonal-weighted kernel: Xi(t,t) * t^(2(N-1)/(2-N)) * prod factors,
+    or Xi(t,t) * omega(t) for a synthetic weight."""
     t_arr = np.asarray(t, dtype=float)
-    _check_floor(t_arr, ws.eval_floor)
+    _check_floor(t_arr)
     _, power, factors = weight_bundle(ws, ts, params)
     out = kernel_diag(params, t_arr) * t_arr ** power * _product(factors, t_arr)
     return float(out) if out.ndim == 0 else out

@@ -21,7 +21,14 @@ from annulus_radial.conditions import (
     window_extremum,
 )
 from annulus_radial.exprlang import parse
-from annulus_radial.kernel import BoundReport, cone_floor, kernel_diag, kernel_matrix, wp
+from annulus_radial.kernel import (
+    BoundReport,
+    cone_floor,
+    kernel_diag,
+    kernel_eval,
+    kernel_matrix,
+    wp,
+)
 from annulus_radial.quadrature import (
     CONVERGED,
     DEFAULT_CUTOFFS,
@@ -82,7 +89,7 @@ def per_node_green_representation(params, s_nodes, rhs, n_gauss=64):
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
             t = mid + half * xg
-            row = kernel_matrix(params, np.array([s]), t)[0]
+            row = kernel_eval(params, s, t)
             total += half * float(np.sum(wg * row * np.asarray(rhs(t), dtype=float)))
         out[i] = total
     return out
@@ -315,7 +322,7 @@ def transform():
 
 @pytest.fixture(scope="session")
 def synthetic_unit_weight():
-    return WeightSpec(synthetic_override=parse("1", "t"), eval_floor=1e-9)
+    return WeightSpec(synthetic_override=parse("1", "t"))
 
 
 @pytest.fixture(scope="session")

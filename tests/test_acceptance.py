@@ -41,7 +41,7 @@ from annulus_radial.solver import (
     recover_components,
     residual_check,
 )
-from annulus_radial.weights import TransformSpec, xi_hat
+from annulus_radial.weights import TransformSpec, WeightSpec, upsilon
 
 TS = TransformSpec(1.0, 3)
 
@@ -114,14 +114,16 @@ def test_criterion_03_green_representation_equivalence(default_params):
 
 def test_criterion_04_divergence_detection_and_audit_report(default_params):
     cutoffs = tuple(10.0 ** (-k) for k in range(2, 7))  # 1e-2 .. 1e-6
-    res = integrate(lambda t: xi_hat(t, default_params), tol=1e-10, cutoffs=cutoffs)
+    # upsilon with a unit factor: Xi(t,t) * t^(2(N-1)/(2-N))
+    unit = WeightSpec(factors=(parse("1", "t"),), p_exponents=(2.0,))
+    res = integrate(lambda t: upsilon(t, default_params, unit, TS), tol=1e-10, cutoffs=cutoffs)
     assert res.status == DIVERGENT
     assert res.exponent_estimate is not None
     assert res.exponent_estimate <= -1.0
     assert res.exponent_estimate == pytest.approx(-4.0, abs=0.2)
     # also for a left-Dirichlet kernel (diagonal vanishing at 0)
     p_dir = KernelParams(1.0, 0.0, 1.0, 1.0, 1.0, 3)
-    res_dir = integrate(lambda t: xi_hat(t, p_dir), tol=1e-10, cutoffs=cutoffs)
+    res_dir = integrate(lambda t: upsilon(t, p_dir, unit, TS), tol=1e-10, cutoffs=cutoffs)
     assert res_dir.status == DIVERGENT
     assert res_dir.exponent_estimate <= -1.0
 
@@ -223,7 +225,7 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
         n=2, g=(parse("0", "u"), parse("0", "u")), kernel=default_params,
         weights=synthetic_unit_weight, transform=TS, grid_size=257, cutoff=1e-6,
     )
-    u_a, tr_a = picard_solve(spec_a)
+    u_a, tr_a = picard_solve(spec_a, tol=1e-10, max_iter=100)
     _record(tr_a)
     assert tr_a.converged and tr_a.iterates == 1
     assert np.max(np.abs(u_a.values)) == 0.0
@@ -236,7 +238,7 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
             n=1, g=(parse("u/100", "u"),), kernel=default_params,
             weights=synthetic_unit_weight, transform=TS, grid_size=m, cutoff=1e-6,
         )
-        u_b, tr_b = picard_solve(spec_b, init=1.0, tol=1e-13)
+        u_b, tr_b = picard_solve(spec_b, init=1.0, tol=1e-13, max_iter=100)
         _record(tr_b)
         assert tr_b.converged
         alpha2 = contraction_constant(
@@ -255,7 +257,7 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
         n=2, g=example4_nonlinearities, kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=32001, cutoff=1e-3,
     )
-    u_c, tr_c = picard_solve(spec_c, tol=1e-12)
+    u_c, tr_c = picard_solve(spec_c, tol=1e-12, max_iter=100)
     _record(tr_c)
     assert tr_c.converged
     comps = recover_components(spec_c, u_c, tol=1e-10)
@@ -284,7 +286,7 @@ def test_criterion_08_metric_domination(default_params, synthetic_unit_weight):
                 kernel=default_params, weights=synthetic_unit_weight,
                 transform=TS, grid_size=257, cutoff=1e-6,
             )
-            _record(picard_solve(spec, init=init, tol=1e-12)[1])
+            _record(picard_solve(spec, init=init, tol=1e-12, max_iter=100)[1])
     steps = 0
     for trace in RECORDED_TRACES:
         for rho, d in zip(trace.rho_history, trace.d_history):

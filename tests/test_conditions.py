@@ -325,6 +325,26 @@ def test_golden_polish_hands_g_python_floats():
     assert set(seen) == {float}
 
 
+def test_window_grids_broadcast_a_scalar_result():
+    def constant(u):
+        return 3.0
+
+    for mode in ("max", "min"):
+        value, point = window_extremum(constant, 0.0, 2.0, mode)
+        assert value == 3.0 and 0.0 <= point <= 2.0
+    assert lipschitz_estimate(constant, (0.0, 2.0)) == 0.0
+
+
+def test_window_grids_keep_the_error_of_an_array_refusing_callable():
+    def scalar_only(u):
+        return math.cos(u)  # TypeError on an array of several points
+
+    with pytest.raises(TypeError):
+        window_extremum(scalar_only, 0.0, 2.0, "max")
+    with pytest.raises(TypeError):
+        lipschitz_estimate(scalar_only, (0.0, 2.0))
+
+
 def test_shared_windows_are_evaluated_once(monkeypatch):
     constants = injected_constants({"Q1": 1e-3, "Q2": 1e-3}, wp_value=0.5)
     extrema = count_calls(monkeypatch, conditions, "window_extremum")

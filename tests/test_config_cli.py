@@ -329,7 +329,7 @@ def test_profile_csv_matches_row_by_row_route(extended):
     doc = example_config(4)
     doc["numerics"]["grid_size"] = 4097
     spec = config_from_dict(doc).problem_spec()
-    u, _ = picard_solve(spec, tol=1e-12)
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
     comps = recover_components(spec, u, tol=1e-10, extended_precision=extended)
     text = cli._profile_csv(spec, comps)
     assert text == row_by_row_profile_csv(spec, comps)

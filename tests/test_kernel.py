@@ -14,9 +14,7 @@ from annulus_radial.kernel import (
     kernel_eval,
     kernel_matrix,
     phi,
-    phi_prime,
     psi,
-    psi_prime,
     varrho,
     verify_kernel_bounds,
     wp,
@@ -63,6 +61,14 @@ def test_params_validation():
             KernelParams(1.0, 1.0, 1.0, 1.0, r0, 3)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "r0", "N"])
+def test_non_finite_kernel_input_is_refused_by_name(field):
+    base = dict(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, r0=1.0, N=3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateParametersError, match=f"^{field} must be finite"):
+            KernelParams(**{**base, field: bad})
+
+
 def test_kernel_corner_value(default_params):
     assert kernel_eval(default_params, 0.0, 0.0) == pytest.approx(0.5, rel=1e-14)
 
@@ -96,8 +102,8 @@ def test_kernel_eval_broadcasts_like_scalar_calls(asym_params):
         pairwise = kernel_eval(p, s, t)
         assert np.array_equal(pairwise, [kernel_eval(p, float(a), float(b))
                                          for a, b in zip(s, t)])
-        outer = kernel_eval(p, s[:, None], t[None, :])
-        assert np.array_equal(outer, kernel_matrix(p, s, t))
+        outer = kernel_eval(p, s[:, None], s[None, :])
+        assert np.array_equal(outer, kernel_matrix(p, s))
         assert type(kernel_eval(p, 0.25, 0.75)) is float
 
 
@@ -235,10 +241,15 @@ def test_kernel_solves_homogeneous_ode_off_diagonal(default_params, asym_params)
 
 
 def test_wronskian_identity():
+    # phi' and psi' by mpmath's differentiation of the closed forms
+    mp = pytest.importorskip("mpmath")
     for p in (KernelParams.default(), *random_params(5)):
+        a, b, g, d, r0 = map(mp.mpf, (p.alpha, p.beta, p.gamma, p.delta, p.r0))
         v = varrho(p)
         for x in np.linspace(0.0, 1.0, 9):
-            w = float(phi(p, x) * psi_prime(p, x) - phi_prime(p, x) * psi(p, x))
+            dphi = mp.diff(lambda y: a * mp.sinh(r0 * y) + b * r0 * mp.cosh(r0 * y), x)
+            dpsi = mp.diff(lambda y: g * mp.sinh(r0 * (1 - y)) + d * r0 * mp.cosh(r0 * (1 - y)), x)
+            w = float(phi(p, x)) * float(dpsi) - float(dphi) * float(psi(p, x))
             assert w == pytest.approx(-v, rel=1e-10)
 
 

@@ -61,9 +61,9 @@ def test_constant_forcing_matches_fd_oracle(default_params, synthetic_unit_weigh
     diffs = []
     for m in (257, 513):
         spec = synthetic_spec(
-            default_params, synthetic_unit_weight, ["1"], grid_size=m, cutoff=1e-9
+            default_params, synthetic_unit_weight, ["1"], grid_size=m, cutoff=1e-8
         )
-        u, trace = picard_solve(spec, tol=1e-12)
+        u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
         assert trace.converged
         w = solve_linear_fd(
             LinearBVP(default_params, lambda t: np.ones_like(np.asarray(t)), m)
@@ -76,7 +76,7 @@ def test_fixed_point_is_fixed(default_params, synthetic_unit_weight):
     spec = synthetic_spec(
         default_params, synthetic_unit_weight, ["1/(1+u)", "1/(1+u)"]
     )
-    u, trace = picard_solve(spec, tol=1e-12)
+    u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
     assert trace.converged
     again = apply_operator(spec, u)
     assert np.max(np.abs(again.values - u.values)) <= 1e-11
@@ -86,7 +86,7 @@ def test_picard_zero_map_converges_in_one_iteration(
     default_params, synthetic_unit_weight
 ):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["0", "0"])
-    u, trace = picard_solve(spec)
+    u, trace = picard_solve(spec, tol=1e-10, max_iter=100)
     assert trace.converged
     assert trace.iterates == 1
     assert np.max(np.abs(u.values)) == 0.0
@@ -96,7 +96,7 @@ def test_linear_contraction_ratio_below_certified_bound(
     default_params, synthetic_unit_weight
 ):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
-    u, trace = picard_solve(spec, init=1.0, tol=1e-13)
+    u, trace = picard_solve(spec, init=1.0, tol=1e-13, max_iter=100)
     assert trace.converged
     alpha2 = contraction_constant(
         default_params, synthetic_unit_weight, TS, K=0.01, n=1, p=2.0, q=2.0
@@ -108,7 +108,7 @@ def test_linear_contraction_ratio_below_certified_bound(
 def test_metric_domination_every_step(default_params, synthetic_unit_weight):
     for srcs, init in ((["u/100"], 1.0), (["1/(1+u)", "1/(1+u)"], 0.0)):
         spec = synthetic_spec(default_params, synthetic_unit_weight, srcs)
-        _, trace = picard_solve(spec, init=init, tol=1e-12)
+        _, trace = picard_solve(spec, init=init, tol=1e-12, max_iter=100)
         assert len(trace.rho_history) == len(trace.d_history)
         for rho, d in zip(trace.rho_history, trace.d_history):
             assert rho <= d + 1e-12
@@ -126,7 +126,7 @@ def test_divergence_detection(default_params, synthetic_unit_weight):
 def test_picard_rejects_a_non_finite_start(level, default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
     with pytest.raises(ValueError, match="init must be finite"):
-        picard_solve(spec, init=level)
+        picard_solve(spec, init=level, tol=1e-10, max_iter=100)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -136,7 +136,7 @@ def test_picard_rejects_a_tol_that_is_not_finite_and_positive(
     # nan and negative values ran to max_iter, inf stopped after one step
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["u/100"])
     with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol!r}"):
-        picard_solve(spec, tol=tol)
+        picard_solve(spec, tol=tol, max_iter=100)
 
 
 def test_picard_lp_distance_survives_an_overflowing_power(
@@ -176,8 +176,8 @@ def test_cone_preservation(default_params, synthetic_unit_weight):
 
 def test_recover_components_zero_case(default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["0", "0"])
-    u, _ = picard_solve(spec)
-    comps = recover_components(spec, u)
+    u, _ = picard_solve(spec, tol=1e-10, max_iter=100)
+    comps = recover_components(spec, u, tol=1e-8)
     assert len(comps) == 2
     for c in comps:
         assert np.max(np.abs(c.values)) == 0.0
@@ -185,7 +185,7 @@ def test_recover_components_zero_case(default_params, synthetic_unit_weight):
 
 def test_recover_single_equation_equals_operator(default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["1/(2+u)"])
-    u, _ = picard_solve(spec, tol=1e-12)
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
     comps = recover_components(spec, u, tol=1e-10)
     direct = apply_operator(spec, u)
     assert np.max(np.abs(comps[0].values - direct.values)) == 0.0
@@ -225,7 +225,7 @@ def test_example4_components_nonnegative_in_cone(
         grid_size=8001,
         cutoff=1e-3,
     )
-    u, trace = picard_solve(spec, tol=1e-12)
+    u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
     assert trace.converged
     comps = recover_components(spec, u, tol=1e-10)
     w = wp(default_params)
@@ -246,7 +246,7 @@ def test_residual_second_order_on_manufactured_solution(default_params):
     # (a cubic would not do: central differences are exact on cubics)
     u_star = lambda t: 1.0 + t + t**2 - 2.75 * t**3 + t**4
     forcing = parse("-(2 - 16.5*t + 12*t^2) + 1 + t + t^2 - 2.75*t^3 + t^4", "t")
-    ws = WeightSpec(synthetic_override=forcing, eval_floor=1e-9)
+    ws = WeightSpec(synthetic_override=forcing)
     res = []
     for m in (257, 513):
         spec = ProblemSpec(
@@ -290,8 +290,8 @@ def test_grid_function_node_order_matches_np_diff(nodes):
 
 def test_radial_profile_mapping(default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["1"], cutoff=1e-3)
-    u, _ = picard_solve(spec, tol=1e-12)
-    comps = recover_components(spec, u)
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
+    comps = recover_components(spec, u, tol=1e-8)
     table = radial_profile(comps, TS, [1.0, 2.0])
     # r = r0 maps to s = 1; r = 2 maps to s = 1/2 for N = 3
     assert table[0, 1] == pytest.approx(float(u.values[-1]), rel=1e-12)
@@ -307,7 +307,7 @@ def test_radial_profile_mapping(default_params, synthetic_unit_weight):
 
 def test_multistart_finds_fixed_point(default_params, synthetic_unit_weight):
     spec = synthetic_spec(default_params, synthetic_unit_weight, ["1/(1+u)"])
-    found = multistart_solve(spec, [0.0, 0.5, 2.0], tol=1e-11)
+    found = multistart_solve(spec, [0.0, 0.5, 2.0], tol=1e-11, max_iter=100)
     assert len(found) == 1  # contraction: all starts collapse to one point
 
 
@@ -318,8 +318,8 @@ def test_multistart_counts_an_overflowing_start_as_diverging(synthetic_unit_weig
     spec = ProblemSpec(n=1, g=(parse("2*exp(u)", "u"),), kernel=dirichlet,
                        weights=synthetic_unit_weight, transform=TS, grid_size=2049)
     with pytest.raises(EvaluationError, match="overflow in 'exp\\(u\\)'"):
-        picard_solve(spec, init=6.0)
-    found = multistart_solve(spec, [0.0, 0.5, 6.0])
+        picard_solve(spec, init=6.0, tol=1e-10, max_iter=100)
+    found = multistart_solve(spec, [0.0, 0.5, 6.0], tol=1e-10, max_iter=100)
     assert len(found) == 1
     # the shooting method gives max u = 0.28818 on [0, 1]
     assert float(np.max(found[0][0].values)) == pytest.approx(0.288177, abs=1e-6)
@@ -334,7 +334,7 @@ def test_multistart_rejects_a_tol_that_is_not_finite_and_positive(
     for levels in ([0.0, 2.0], []):
         with pytest.raises(ValueError,
                            match=f"tol must be finite and positive, got {tol!r}"):
-            multistart_solve(spec, levels, tol=tol)
+            multistart_solve(spec, levels, tol=tol, max_iter=100)
 
 
 def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_weight):
@@ -346,8 +346,8 @@ def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_wei
 
     spec = ProblemSpec(n=1, g=(g,), kernel=default_params,
                        weights=synthetic_unit_weight, transform=TS, grid_size=257)
-    u, _ = picard_solve(spec, tol=1e-12)
-    components = recover_components(spec, u, extended_precision=True)
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
+    components = recover_components(spec, u, extended_precision=True, tol=1e-8)
     assert components[0].values.dtype == np.longdouble
     seen.clear()
     worst_defects(spec, components)
@@ -537,7 +537,7 @@ def example4_fine(default_params, example4_weights, example4_nonlinearities):
         n=2, g=example4_nonlinearities, kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=2**18 + 1, cutoff=1e-3,
     )
-    u, trace = picard_solve(spec, tol=1e-12)
+    u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
     assert trace.converged
     return spec, u
 
@@ -568,10 +568,6 @@ def test_longdouble_recovery_takes_u1_on_the_float64_grid_as_it_is(
         m.setattr(GridFunction, "__call__", no_interpolation)
         c64 = recover_components(spec, u, tol=1e-10)
         cld = recover_components(spec, u, tol=1e-10, extended_precision=True)
-        # a u1 on other nodes still goes through interpolation
-        shifted = GridFunction(np.linspace(1e-3, 1.0, spec.grid_size - 2), u.values[1:-1])
-        with pytest.raises(AssertionError, match="interpolated"):
-            recover_components(spec, shifted, extended_precision=True)
     for a, b in zip(c64, cld):
         assert np.array_equal(a.nodes, b.nodes)
 
@@ -612,7 +608,7 @@ def _pipeline(spec, fresh=False):
     """Solve, both recoveries and both defects on spec; with fresh set, each
     call takes a copy of spec that has not built its grid yet."""
     on = (lambda: dataclasses.replace(spec)) if fresh else (lambda: spec)
-    u, trace = picard_solve(on(), tol=1e-12)
+    u, trace = picard_solve(on(), tol=1e-12, max_iter=100)
     c64 = recover_components(on(), u, tol=1e-10)
     cld = recover_components(on(), u, tol=1e-10, extended_precision=True)
     return (u, trace.d_history, trace.rho_history, c64, cld,
@@ -659,9 +655,9 @@ def test_nonlinearity_failing_past_first_block_keeps_its_error(
     # a step from 0 to 1 at node k: g divides by zero from there on only
     u1 = GridFunction(make_grid(spec), (np.arange(m) >= k).astype(float))
     runs = (
-        lambda: picard_solve(spec, init=u1),
-        lambda: recover_components(spec, u1),
-        lambda: recover_components(spec, u1, extended_precision=True),
+        lambda: picard_solve(spec, init=u1, tol=1e-10, max_iter=100),
+        lambda: recover_components(spec, u1, tol=1e-8),
+        lambda: recover_components(spec, u1, extended_precision=True, tol=1e-8),
     )
 
     def messages():
@@ -781,7 +777,7 @@ def test_worker_exception_reaches_the_caller(
 ):
     solver_route(2)
     spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
-    u, _ = picard_solve(spec, tol=1e-12)
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
     want = recover_components(spec, u, tol=1e-10, extended_precision=True)
     raised = []
     rotate = solver._rotate
@@ -862,6 +858,30 @@ def test_worst_defects_refuses_components_off_the_spec_grid(
     assert worst_defects(spec, [GridFunction(nodes.copy(), values)]) == want
 
 
+_ENTRY_POINTS = {
+    "apply_operator": lambda spec, u: apply_operator(spec, u),
+    "picard_solve": lambda spec, u: picard_solve(spec, init=u, tol=1e-12, max_iter=100),
+    "recover_components": lambda spec, u: recover_components(spec, u, tol=1e-10),
+    "recover_components_longdouble": lambda spec, u: recover_components(
+        spec, u, tol=1e-10, extended_precision=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_every_entry_point_refuses_an_off_grid_input(
+    name, default_params, synthetic_unit_weight
+):
+    spec = synthetic_spec(default_params, synthetic_unit_weight, ["1/(1+u)", "1/(1+u)"])
+    u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
+    nodes = make_grid(spec)
+    shifted = np.append(nodes[1:], 2.0 * nodes[-1] - nodes[-2])  # one node right
+    other_m = make_grid(dataclasses.replace(spec, grid_size=spec.grid_size + 1))
+    for off in (shifted, other_m):
+        with pytest.raises(ValueError, match="must sit on the grid make_grid"):
+            _ENTRY_POINTS[name](spec, GridFunction(off, u(off)))
+    _ENTRY_POINTS[name](spec, GridFunction(nodes.copy(), u.values))  # equal nodes pass
+
+
 @pytest.mark.parametrize("m", [4097, 2**17 + 1])
 def test_weight_ell_runs_once_per_block_per_spec(
     m, monkeypatch, default_params, example4_weights
@@ -869,7 +889,7 @@ def test_weight_ell_runs_once_per_block_per_spec(
     calls = count_calls(monkeypatch, solver, "weight_ell")
     spec = _example4_spec(default_params, example4_weights, m, _G3[:2])
     _pipeline(spec)
-    assert len(multistart_solve(spec, [0.0, 0.5, 1.0], tol=1e-12)) == 1
+    assert len(multistart_solve(spec, [0.0, 0.5, 1.0], tol=1e-12, max_iter=100)) == 1
     assert [s.size for s, *_ in calls] == [b - a for a, b in solver._blocks(m)]
     assert len(calls) == -(-m // 2**16)
 
@@ -893,13 +913,13 @@ def test_shared_spec_matches_a_fresh_spec_per_call(
 
 def test_failed_grid_build_keeps_nothing(default_params):
     # ell fails in the grid's last block only: s > 0.9
-    ws = WeightSpec(synthetic_override=parse("sqrt(0.9 - t)", "t"), eval_floor=1e-9)
+    ws = WeightSpec(synthetic_override=parse("sqrt(0.9 - t)", "t"))
     spec = ProblemSpec(n=1, g=(parse("u/100", "u"),), kernel=default_params, weights=ws,
                        transform=TS, grid_size=2**17 + 1, cutoff=1e-3)
     errors = []
     for _ in range(2):
         with pytest.raises(ValueError) as info:
-            picard_solve(spec)
+            picard_solve(spec, tol=1e-10, max_iter=100)
         errors.append((type(info.value), str(info.value)))
         assert "_grid" not in vars(spec)
     assert errors[0] == errors[1]

@@ -19,14 +19,12 @@ from annulus_radial.weights import (
     EstimationUnstableWarning,
     TransformSpec,
     WeightSpec,
-    factor_product,
     kelvin_r,
     kelvin_s,
     singularity_exponent,
     upsilon,
     weight_bundle,
     weight_ell,
-    xi_hat,
 )
 
 RNG = np.random.default_rng(7)
@@ -105,22 +103,26 @@ def test_weight_floor_enforced(example1_weights):
         weight_ell(1e-12, example1_weights, ts)
 
 
+UNIT_FACTOR = WeightSpec(factors=(parse("1", "t"),), p_exponents=(2.0,))
+
+
 def test_xi_hat_values(default_params):
-    assert xi_hat(1.0, default_params) == pytest.approx(0.5, rel=1e-14)
+    # xi_hat(t) = Xi(t,t) * t^(2(N-1)/(2-N)) is upsilon with a unit factor
+    ts = TransformSpec(1.0, 3)
+    assert upsilon(1.0, default_params, UNIT_FACTOR, ts) == pytest.approx(0.5, rel=1e-14)
     expected = float(kernel_diag(default_params, 0.5)) * 16.0
-    assert xi_hat(0.5, default_params) == pytest.approx(expected, rel=1e-14)
-    assert xi_hat(1e-6, default_params) > 1e22  # singular growth
+    assert upsilon(0.5, default_params, UNIT_FACTOR, ts) == pytest.approx(expected, rel=1e-14)
+    assert upsilon(1e-6, default_params, UNIT_FACTOR, ts) > 1e22  # singular growth
     with pytest.raises(DomainError):
-        xi_hat(0.0, default_params)
+        upsilon(0.0, default_params, UNIT_FACTOR, ts)
 
 
 def test_upsilon_unit_factors_reduces_to_xi_hat(default_params):
     ts = TransformSpec(1.0, 3)
-    ws = WeightSpec(factors=(parse("1", "t"),), p_exponents=(2.0,))
     t = np.linspace(0.05, 1.0, 40)
     assert np.allclose(
-        upsilon(t, default_params, ws, ts),
-        xi_hat(t, default_params),
+        upsilon(t, default_params, UNIT_FACTOR, ts),
+        kernel_diag(default_params, t) * t**-4.0,
         rtol=1e-14,
     )
 
@@ -146,9 +148,10 @@ def test_upsilon_consistency_with_factor_product(default_params, example1_weight
     ts = TransformSpec(1.0, 3)
     t = np.linspace(0.02, 1.0, 60)
     lhs = np.asarray(upsilon(t, default_params, example1_weights, ts))
-    rhs = np.asarray(xi_hat(t, default_params)) * np.asarray(
-        factor_product(example1_weights, t, ts)
-    )
+    factors = weight_bundle(example1_weights, ts)[2]
+    rhs = np.asarray(upsilon(t, default_params, UNIT_FACTOR, ts))
+    for f in factors:
+        rhs = rhs * np.asarray(f(t))
     assert np.allclose(lhs, rhs, rtol=1e-14)
 
 
@@ -196,6 +199,14 @@ def test_transform_validation():
     assert ts.R2 == 3.0
 
 
+@pytest.mark.parametrize("field", ["r0", "N", "R1", "R2"])
+def test_non_finite_transform_input_is_refused_by_name(field):
+    base = dict(r0=1.0, N=3, R1=1.0, R2=3.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TransformSpec(**{**base, field: bad})
+
+
 # ---------------------------------------------------------------------------
 # the weight bundle against the branchy reference routes
 # ---------------------------------------------------------------------------
@@ -206,10 +217,9 @@ _WEIGHTS = {
                              p_exponents=(2.0, 3.0)), 6.0),
     "factor-exp": (WeightSpec(factors=(parse("2 + sin(t)*exp(-t/5)", "t"),),
                               p_exponents=(2.0,)), 2.0),
-    "synthetic-power": (WeightSpec(synthetic_override=parse("1.3*t^(-0.41)", "t"),
-                                   eval_floor=1e-8), 2.0),
-    "synthetic-lambda": (WeightSpec(synthetic_override=lambda t: 2.0 + np.sin(20.0 * np.log(t)),
-                                    eval_floor=1e-8), 3.0),
+    "synthetic-power": (WeightSpec(synthetic_override=parse("1.3*t^(-0.41)", "t")), 2.0),
+    "synthetic-lambda": (WeightSpec(synthetic_override=lambda t: 2.0 + np.sin(20.0 * np.log(t))),
+                         3.0),
 }
 
 
@@ -273,13 +283,13 @@ def test_bundle_parts():
 
 
 def test_factor_product_of_synthetic_weight_is_omega():
-    """A synthetic weight's single factor is omega itself (it used to raise
-    'synthetic weight has no factor list')."""
+    """A synthetic weight's single factor is omega itself, whatever the
+    transform (it used to raise 'synthetic weight has no factor list')."""
     ws, _ = _WEIGHTS["synthetic-power"]
     s = np.linspace(0.01, 1.0, 50)
-    assert np.array_equal(factor_product(ws, s, TransformSpec(1.7, 4)),
-                          ws.synthetic_override(s))
-    assert factor_product(ws, 0.5, TransformSpec()) == ws.synthetic_override(0.5)
+    for ts in (TransformSpec(1.7, 4), TransformSpec()):
+        assert weight_bundle(ws, ts)[2] == (ws.synthetic_override,)
+        assert np.array_equal(weight_ell(s, ws, ts), ws.synthetic_override(s))
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4])

@@ -4,8 +4,9 @@
 #   tools/compare_reports.sh BASE
 #
 # Runs a fixed command list on a git worktree of BASE and on the working
-# tree, and prints a unified diff of each command's stdout and exit code
-# (and of the profile.csv that `solve --out` writes).  No output means every
+# tree, and prints a unified diff of each command's stdout, stderr and exit
+# code (and of the profile.csv that `solve --out` writes).  In stderr, the
+# source tree and config paths read TREE and CONFIGS.  No output means every
 # report is byte-identical.  The script exits 0 whether or not the reports
 # differ, since a change that moves values changes reports on purpose; it
 # fails only when a run cannot be set up.
@@ -19,6 +20,10 @@
 #   blocks, so that the solver's multi-block fold reaches the diff
 #   solve --multistart on example 1, several Picard runs on one spec
 #   kernel --grid 101 and --grid 4001 on example 1
+#   constants, and check --which krasnoselskii, on example 1 with the
+#   synthetic weight log(t-0.5), whose quadrature fails (exit 3)
+#   solve on example 4 with g = ["log(u)"], which fails at the zero start
+#   (exit 4)
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -47,6 +52,14 @@ doc = example_config(4)
 doc["numerics"]["grid_size"] = 2**17 + 1
 with open(f"{sys.argv[1]}/example-4-blocks.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc = example_config(1)
+doc["weights"] = {"synthetic": "log(t-0.5)"}
+with open(f"{sys.argv[1]}/log-weight.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
+doc = example_config(4)
+doc["system"] = {"n": 1, "g": ["log(u)"]}
+with open(f"{sys.argv[1]}/log-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -64,9 +77,12 @@ commands() {
     echo "solve --config $configs/example-1.json --multistart"
     echo "kernel --config $configs/example-1.json --grid 101"
     echo "kernel --config $configs/example-1.json --grid 4001"
+    echo "constants --config $configs/log-weight.json"
+    echo "check --config $configs/log-weight.json --which krasnoselskii"
+    echo "solve --config $configs/log-g.json"
 }
 
-# every command's stdout and exit code under one source tree
+# every command's stdout, exit code and stderr under one source tree
 reports() {
     local tree=$1 out=$scratch/out-$2 cmd status
     mkdir "$out"
@@ -75,8 +91,12 @@ reports() {
         status=0
         # shellcheck disable=SC2086  # the command is a word list
         (cd "$scratch" && PYTHONPATH="$tree/src" python3 -m annulus_radial.cli \
-            ${cmd//OUT/$out} 2>/dev/null) || status=$?
+            ${cmd//OUT/$out} 2>"$scratch/stderr") || status=$?
         echo "exit $status"
+        if [[ -s $scratch/stderr ]]; then
+            echo "--- stderr"
+            sed -e "s#$tree#TREE#g" -e "s#$configs#CONFIGS#g" "$scratch/stderr"
+        fi
         if [[ $cmd == solve*--out* ]]; then
             echo "--- profile.csv"
             cat "$out/profile.csv" 2>/dev/null || echo "(none)"
