@@ -17,7 +17,8 @@ extremum against bound * window-parameter, and report the margin; borderline
 margins are flagged inconclusive rather than asserted.  A grid of window
 extremum or Lipschitz estimate is one array call of the nonlinearity, whose
 scalar result is broadcast to the grid and whose exceptions propagate; the
-golden-section polish calls it at Python floats.  Each family first
+golden-section polish calls it one point at a time, which an expression
+answers through its float closure (Expr.eval).  Each family first
 plans its windows (WINDOW_FAMILIES maps a family to its window parameters
 and planner); one judge then evaluates each distinct window once, so equal
 nonlinearities, and several constants sets judged together by

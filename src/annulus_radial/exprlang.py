@@ -15,9 +15,11 @@ Exactly one free variable is allowed per expression (``t`` for weights,
 ``u`` for nonlinearities); any other identifier is rejected at parse time.
 Every ``piecewise`` must end with an ``else`` branch.
 
-Evaluation.  Each node has one evaluation method, which takes either a
-Python float (``Expr.eval``) or a float64 array (``Expr.eval_array``, run
-under one ``np.errstate(all="ignore")``).  The same rules hold for both:
+Evaluation.  A Python float (``Expr.eval``) goes through a closure per
+node, which ``_closure`` builds on a node's first scalar call and keeps in
+a slot; a float64 array (``Expr.eval_array``, run under one
+``np.errstate(all="ignore")``) goes through the nodes' ``_ev`` methods.
+The same rules hold for both:
 
 - ``+ - *`` and unary minus are plain IEEE arithmetic.
 - Division by zero, ``sqrt`` of a negative value, ``log`` of a nonpositive
@@ -37,7 +39,11 @@ ufuncs and ``np.power`` for an array, so the two paths may differ in the
 last bit wherever a function or ``^`` is involved.  ``np.power`` always
 gets its exponent as an array of the input's shape: a scalar exponent of
 2, 0.5 or -1 takes numpy's square/sqrt/reciprocal shortcut, whose results
-differ from ``pow``'s in the last bit at some points.
+differ from ``pow``'s in the last bit at some points.  What is one value
+for every point of an array is decided once: a constant exponent's
+``is_integer()`` and sign pick the ``^`` rules that can fire, and a rule's
+verdict on constant operands (``b == 0.0`` for a constant divisor) is read
+as it is, not broadcast to the input's shape.
 """
 
 from __future__ import annotations
@@ -89,14 +95,19 @@ class ExprDomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression node; subclasses implement _ev(x) for a float
-    and for a float64 array alike."""
+    """Immutable expression node; subclasses implement _ev(x) for a float64
+    array, and _closure builds their float evaluator."""
 
-    __slots__ = ()
+    __slots__ = ("_fn",)  # the float closure, built on the first eval
 
     def eval(self, x: float) -> float:
         """Evaluate at a scalar point."""
-        return self._ev(float(x))
+        try:
+            fn = self._fn
+        except AttributeError:
+            fn = _closure(self)
+            object.__setattr__(self, "_fn", fn)  # the nodes are frozen
+        return fn(float(x))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at every point of x; a new array of x's shape."""
@@ -176,11 +187,10 @@ class Call(Expr):
 
     def _ev(self, x):
         v = self.arg._ev(x)
-        if self.func == "sqrt":
-            _check(v < 0.0, "sqrt of negative value", self, x)
-        elif self.func == "log":
-            _check(v <= 0.0, "log of nonpositive value", self, x)
-        out = _apply(self.func, v, x)
+        if self.func in _DOMAIN:
+            test, rule = _DOMAIN[self.func]
+            _check(test(v, 0.0), rule, self, x)
+        out = _NUMPY[self.func](v)
         if self.func in _GROWING:
             out = _finite(out, self, x, v)
         return out
@@ -197,7 +207,7 @@ class Cond(Expr):
     rhs: Expr
 
     def _ev(self, x):
-        """Whether the comparison holds: a bool, or a bool array."""
+        """Whether the comparison holds at each point: a bool array."""
         return _COMPARE[self.op](self.lhs._ev(x), self.rhs._ev(x))
 
 
@@ -207,10 +217,6 @@ class Piecewise(Expr):
     branches: tuple
 
     def _ev(self, x):
-        if isinstance(x, float):
-            for cond, expr in self.branches:
-                if cond is None or cond._ev(x):
-                    return expr._ev(x)
         out = np.empty(x.shape)
         rest = np.ones(x.shape, dtype=bool)  # points no branch has taken
         for cond, expr in self.branches:
@@ -225,73 +231,146 @@ class Piecewise(Expr):
         return out
 
 
-# The backends part only in these helpers, on the kind of the input x: a
-# Python float from eval, or an ndarray from eval_array.
-
 # the only functions that can overflow at a finite argument
 _GROWING = ("exp", "sinh", "cosh")
+# func: (test of the argument against 0.0, rule broken where it holds)
+_DOMAIN = {"sqrt": (operator.lt, "sqrt of negative value"),
+           "log": (operator.le, "log of nonpositive value")}
 _MATH = {name: abs if name == "abs" else getattr(math, name) for name in FUNCTIONS}
 _NUMPY = {name: getattr(np, name) for name in FUNCTIONS}
 
 
-def _apply(func: str, v, x):
-    """func(v): numpy's ufunc for an array input, math's for a float."""
-    if not isinstance(x, float):
-        return _NUMPY[func](v)
-    try:
-        return _MATH[func](v)
-    except OverflowError:  # exp, sinh or cosh of a finite value
-        return math.inf
-    except ValueError:  # sin or cos of an infinity
-        return math.nan
+def _closure(e: Expr):
+    """e's float evaluator: a closure per node over its children's, with
+    math's functions (an OverflowError reads inf, a ValueError nan) and
+    math.pow for an integral exponent, else exp(b*log(a))."""
+    if isinstance(e, Num):
+        value = e.value
+        return lambda x: value
+    if isinstance(e, Var):
+        return lambda x: x
+    if isinstance(e, Neg):
+        f = _closure(e.operand)
+        return lambda x: -f(x)
+    if isinstance(e, Piecewise):
+        branches = [(None if c is None else _closure(c), _closure(v))
+                    for c, v in e.branches]
+
+        def piecewise(x):
+            for cond, value in branches:
+                if cond is None or cond(x):
+                    return value(x)
+        return piecewise
+    if isinstance(e, Call):
+        f, fn, growing = _closure(e.arg), _MATH[e.func], e.func in _GROWING
+        test, rule = _DOMAIN.get(e.func, (None, None))
+
+        def call(x):
+            v = f(x)
+            if test is not None and test(v, 0.0):
+                _fail(rule, e, x)
+            try:
+                out = fn(v)
+            except OverflowError:  # exp, sinh or cosh of a finite value
+                out = math.inf
+            except ValueError:  # sin or cos of an infinity
+                out = math.nan
+            if growing and not math.isfinite(out) and math.isfinite(v):
+                _fail("overflow", e, x)
+            return out
+        return call
+    f, g = _closure(e.lhs), _closure(e.rhs)
+    if isinstance(e, Cond):
+        compare = _COMPARE[e.op]
+        return lambda x: compare(f(x), g(x))
+    if e.op == "+":
+        return lambda x: f(x) + g(x)
+    if e.op == "-":
+        return lambda x: f(x) - g(x)
+    if e.op == "*":
+        return lambda x: f(x) * g(x)
+
+    if e.op == "/":
+        def divide(x):
+            a = f(x)
+            b = g(x)
+            if b == 0.0:
+                _fail("division by zero", e, x)
+            out = a / b
+            if not math.isfinite(out) and math.isfinite(a) and math.isfinite(b):
+                _fail("overflow", e, x)
+            return out
+        return divide
+
+    def power(x):
+        a = f(x)
+        b = g(x)
+        frac = not b.is_integer()
+        if a < 0.0 and frac:
+            _fail("negative base with fractional exponent", e, x)
+        if a == 0.0 and b < 0.0:
+            _fail("zero raised to negative power", e, x)
+        try:
+            if not frac:
+                out = math.pow(a, b)
+            else:
+                out = 0.0 if a == 0.0 else math.exp(b * math.log(a))
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out) and math.isfinite(a) and math.isfinite(b):
+            _fail("overflow", e, x)
+        return out
+    return power
+
+
+# The array route's rules: every argument named x below is the float64
+# array that eval_array was given, or a part of it that a piecewise took.
 
 
 def _power(a, b, node: Expr, x):
-    """a^b: np.power for an array input, exp(b*log(a)) or, for an integral
-    b, math.pow for a float."""
-    array = not isinstance(x, float)
-    if array and not isinstance(b, np.ndarray):
-        b = np.full(x.shape, b)  # see the module docstring
-    frac = np.mod(b, 1.0) != 0.0 if array else not b.is_integer()
-    _check((a < 0.0) & frac, "negative base with fractional exponent", node, x)
-    _check((a == 0.0) & (b < 0.0), "zero raised to negative power", node, x)
-    if array:
+    """a^b by np.power, whose exponent is always an array of x's shape (see
+    the module docstring); one exponent for every point decides which
+    rules can fire once."""
+    if isinstance(b, np.ndarray):
+        _check((a < 0.0) & (np.mod(b, 1.0) != 0.0),
+               "negative base with fractional exponent", node, x)
+        _check((a == 0.0) & (b < 0.0), "zero raised to negative power", node, x)
         return np.power(a, b)
-    try:
-        if not frac:
-            return math.pow(a, b)
-        return 0.0 if a == 0.0 else math.exp(b * math.log(a))
-    except OverflowError:
-        return math.inf
+    if not b.is_integer():
+        _check(a < 0.0, "negative base with fractional exponent", node, x)
+    if b < 0.0:
+        _check(a == 0.0, "zero raised to negative power", node, x)
+    return np.power(a, np.full(x.shape, b))
 
 
 def _finite(out, node: Expr, x, *operands):
-    """out, unless it is non-finite where every operand is finite."""
-    if isinstance(out, float) and math.isfinite(out):
+    """out, unless it is non-finite at a point where every operand is
+    finite."""
+    finite = np.isfinite(out)
+    if finite.all():
         return out
-    if isinstance(x, float):
-        bad = all(map(math.isfinite, operands))
-    elif np.isfinite(out).all():
-        return out
-    else:
-        bad = ~np.isfinite(out)
-        for v in operands:
-            bad &= np.isfinite(v)
+    bad = ~finite
+    for v in operands:
+        bad &= np.isfinite(v)
     _check(bad, "overflow", node, x)
     return out
 
 
 def _check(bad, rule: str, node: Expr, x) -> None:
     """Raise ExprDomainError at the first point of x where bad holds: a
-    bool for a float x, a bool or bool array of x's shape for an array."""
-    if isinstance(x, float):
-        if not bad:
-            return
-    else:
-        bad = np.broadcast_to(bad, x.shape)
+    bool array of x's shape, or one verdict for every point."""
+    if getattr(bad, "ndim", 0):
         if not bad.any():
             return
-        x = float(x[bad][0])
+        x = x[bad][0]
+    elif bad:
+        x = x.flat[0]
+    else:
+        return
+    _fail(rule, node, float(x))
+
+
+def _fail(rule: str, node: Expr, x: float):
     raise ExprDomainError(f"{rule} in '{node}' at x={x!r}")
 
 
@@ -356,9 +435,12 @@ class _Parser:
                     self.i += 1
         text = self.src[start:self.i]
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ExprSyntaxError(f"bad number literal '{text}'", start) from None
+        if math.isinf(value):
+            raise ExprSyntaxError(f"number literal '{text}' overflows", start)
+        return value
 
     # -- grammar -----------------------------------------------------------
     def parse(self) -> Expr:

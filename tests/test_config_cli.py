@@ -115,6 +115,18 @@ def test_builtin_example_configs_round_trip():
         assert cfg.transform.R1 is not None
 
 
+def test_overflowing_literal_is_a_config_error(tmp_path, capsys):
+    doc = example_config(1)
+    doc["system"]["g"] = ["1e400*u", "u"]
+    with pytest.raises(ConfigError, match=r"'1e400' overflows \(offset 0\)"):
+        config_from_dict(doc)
+    path = write_config(tmp_path, doc)
+    assert cli.main(["check", "--config", path, "--which", "krasnoselskii"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonlinearity expression rejected" in captured.err
+
+
 def test_infinite_exponent_accepted():
     doc = minimal_config()
     doc["weights"] = {"factors": ["1/(t+1)"], "p": ["inf"]}

@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -21,6 +23,8 @@ from annulus_radial.exprlang import (
     Piecewise,
     UnknownIdentifierError,
     Var,
+    _check,
+    _power,
     parse,
     to_source,
 )
@@ -82,6 +86,22 @@ def test_syntax_error_carries_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1/(t+", "t")
     assert err.value.position == 5
+
+
+@pytest.mark.parametrize("src, offset", [("1e400*u", 0), ("2*1e400", 2),
+                                         ("u^1.8e308", 2)])
+def test_overflowing_literal_is_a_syntax_error(src, offset):
+    literal = src[offset:].split("*")[0]
+    message = re.escape(f"'{literal}' overflows")
+    with pytest.raises(ExprSyntaxError, match=message) as exc:
+        parse(src, "u")
+    assert exc.value.position == offset
+
+
+def test_underflowing_literal_round_trips():
+    g = parse("1e-400*u", "u")
+    assert g == Bin("*", Num(0.0), Var("u"))
+    assert parse(to_source(g), "u") == g
 
 
 def test_unknown_identifier_rejected():
@@ -277,3 +297,167 @@ def test_scalar_and_array_paths_share_every_rule(g, points):
     assert all(message is None for _, message in scalar)
     if _exact_values(g):
         assert np.array_equal(arr, [value for value, _ in scalar], equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the float closures against the tree-walker they replaced
+# ---------------------------------------------------------------------------
+
+# Expr.eval's former route, kept as the reference: each node's float branch
+# of _ev, with the float branches of _apply, _power, _finite and _check.
+
+_REF_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "==": operator.eq}
+
+
+def _ref_ev(e, x):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -_ref_ev(e.operand, x)
+    if isinstance(e, Bin):
+        a = _ref_ev(e.lhs, x)
+        b = _ref_ev(e.rhs, x)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            _ref_check(b == 0.0, "division by zero", e, x)
+            return _ref_finite(a / b, e, x, a, b)
+        return _ref_finite(_ref_power(a, b, e, x), e, x, a, b)
+    if isinstance(e, Call):
+        v = _ref_ev(e.arg, x)
+        if e.func == "sqrt":
+            _ref_check(v < 0.0, "sqrt of negative value", e, x)
+        elif e.func == "log":
+            _ref_check(v <= 0.0, "log of nonpositive value", e, x)
+        out = _ref_apply(e.func, v)
+        if e.func in ("exp", "sinh", "cosh"):
+            out = _ref_finite(out, e, x, v)
+        return out
+    if isinstance(e, Cond):
+        return _REF_COMPARE[e.op](_ref_ev(e.lhs, x), _ref_ev(e.rhs, x))
+    for cond, expr in e.branches:
+        if cond is None or _ref_ev(cond, x):
+            return _ref_ev(expr, x)
+
+
+def _ref_apply(func, v):
+    try:
+        return (abs if func == "abs" else getattr(math, func))(v)
+    except OverflowError:  # exp, sinh or cosh of a finite value
+        return math.inf
+    except ValueError:  # sin or cos of an infinity
+        return math.nan
+
+
+def _ref_power(a, b, node, x):
+    frac = not b.is_integer()
+    _ref_check((a < 0.0) & frac, "negative base with fractional exponent", node, x)
+    _ref_check((a == 0.0) & (b < 0.0), "zero raised to negative power", node, x)
+    try:
+        if not frac:
+            return math.pow(a, b)
+        return 0.0 if a == 0.0 else math.exp(b * math.log(a))
+    except OverflowError:
+        return math.inf
+
+
+def _ref_finite(out, node, x, *operands):
+    if isinstance(out, float) and math.isfinite(out):
+        return out
+    _ref_check(all(map(math.isfinite, operands)), "overflow", node, x)
+    return out
+
+
+def _ref_check(bad, rule, node, x):
+    if bad:
+        raise ExprDomainError(f"{rule} in '{node}' at x={x!r}")
+
+
+def _outcome(f, x):
+    """(the bits of f(x), None), or (None, the ExprDomainError message)."""
+    try:
+        return struct.pack("<d", f(x)), None
+    except ExprDomainError as exc:
+        return None, str(exc)
+
+
+_FIXED_POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 1e300, -1e300, 709.78, 710.0, -709.78, -710.0, 1.0, -1.0, 0.5]
+
+
+def _assert_closure_is_reference(g, points):
+    for x in points:
+        assert _outcome(g.eval, x) == _outcome(lambda x: _ref_ev(g, x), x), (g, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, _POINTS)
+def test_closure_equals_the_tree_walker_bit_for_bit(g, points):
+    _assert_closure_is_reference(g, [float(x) for x in points] + _FIXED_POINTS)
+
+
+@pytest.mark.parametrize("src", CANONICAL_SOURCES + [
+    "exp(u)", "sinh(u)", "cosh(u)", "exp(-u)", "u^0.5", "u^-1", "u^-0.7",
+    "u^u", "2^u", "(-2)^u", "u^1e300", "1/u", "sqrt(u)", "log(u)", "abs(u)",
+    "sin(u)*cos(u)", "piecewise((u < 0, -u), (u == 0, 1/u), (else, u^2))",
+])
+def test_closure_equals_the_tree_walker_at_fixed_points(src):
+    g = parse(src, "u" if "u" in src else "t")
+    _assert_closure_is_reference(g, _FIXED_POINTS)
+    fn = g._fn
+    g.eval(1.0)
+    assert g._fn is fn  # built once, kept on the node
+
+
+# ---------------------------------------------------------------------------
+# the array route's shortcuts against its general route
+# ---------------------------------------------------------------------------
+
+_BASES = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1e300,
+                   math.inf, -math.inf, math.nan])
+_EXPONENTS = [2.0, 0.5, -1.0, -0.7, 3.0, 0.0, -0.0, math.inf, math.nan, 1e300]
+
+
+def _power_outcome(a, b, x):
+    try:
+        with np.errstate(all="ignore"):
+            out = _power(a, b, Bin("^", Var("u"), Num(0.0)), x)
+        return np.asarray(out).tobytes(), None
+    except ExprDomainError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("b", _EXPONENTS)
+def test_power_with_one_exponent_equals_its_full_array(b):
+    for x in [_BASES, *(_BASES[i:i + 1] for i in range(len(_BASES)))]:
+        assert _power_outcome(x, b, x) == _power_outcome(x, np.full(x.shape, b), x)
+        assert _power_outcome(x, np.float64(b), x) == _power_outcome(
+            x, np.full(x.shape, b), x)
+    for a in _BASES:  # a constant base too
+        a = float(a)
+        assert _power_outcome(a, b, _BASES) == _power_outcome(
+            a, np.full(_BASES.shape, b), _BASES)
+
+
+def _check_outcome(bad, x):
+    try:
+        _check(bad, "rule", Var("u"), x)
+    except ExprDomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)])
+def test_check_with_one_verdict_equals_its_broadcast_array(shape):
+    x = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 3
+    for verdict in (True, False, np.True_, np.False_):
+        assert _check_outcome(verdict, x) == _check_outcome(
+            np.full(shape, bool(verdict)), x)
+    assert _check_outcome(True, x) == f"rule in 'u' at x={float(x.flat[0])!r}"

@@ -24,6 +24,10 @@
 #   synthetic weight log(t-0.5), whose quadrature fails (exit 3)
 #   solve on example 4 with g = ["log(u)"], which fails at the zero start
 #   (exit 4)
+#   constants on example 1 with the synthetic weight (t-0.5)^0.5, a negative
+#   base under a fractional exponent (exit 3)
+#   solve on example 4 with g = ["u^-1"], zero raised to a negative power at
+#   the zero start (exit 4)
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -60,6 +64,14 @@ doc = example_config(4)
 doc["system"] = {"n": 1, "g": ["log(u)"]}
 with open(f"{sys.argv[1]}/log-g.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc = example_config(1)
+doc["weights"] = {"synthetic": "(t-0.5)^0.5"}
+with open(f"{sys.argv[1]}/root-weight.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
+doc = example_config(4)
+doc["system"] = {"n": 1, "g": ["u^-1"]}
+with open(f"{sys.argv[1]}/inverse-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -80,6 +92,8 @@ commands() {
     echo "constants --config $configs/log-weight.json"
     echo "check --config $configs/log-weight.json --which krasnoselskii"
     echo "solve --config $configs/log-g.json"
+    echo "constants --config $configs/root-weight.json"
+    echo "solve --config $configs/inverse-g.json"
 }
 
 # every command's stdout, exit code and stderr under one source tree
