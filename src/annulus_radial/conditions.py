@@ -15,10 +15,11 @@ Window checks sample a nonlinearity over a stated u-interval (stratified
 grid plus golden-section refinement around the best candidates), compare the
 extremum against bound * window-parameter, and report the margin; borderline
 margins are flagged inconclusive rather than asserted.  A grid of window
-extremum or Lipschitz estimate is one array call of the nonlinearity, whose
-scalar result is broadcast to the grid and whose exceptions propagate; the
-golden-section polish calls it one point at a time, which an expression
-answers through its float closure (Expr.eval).  Each family first
+extremum or Lipschitz estimate is one array call of the nonlinearity: an
+array result of the grid's shape is read as it is, a scalar result is
+broadcast to the grid, and an exception propagates; the golden-section
+polish calls it one point at a time, which an expression answers through
+its float closure (Expr.eval).  Each family first
 plans its windows (WINDOW_FAMILIES maps a family to its window parameters
 and planner); one judge then evaluates each distinct window once, so equal
 nonlinearities, and several constants sets judged together by
@@ -51,6 +52,7 @@ from .quadrature import (
     DIVERGENT,
     IntegralResult,
     _reciprocal_sum,
+    _sampled,
     endpoint_infimum,
     holder_conjugate_check,
     integrate,
@@ -346,14 +348,23 @@ class WindowCheck:
         }
 
 
-def _eval_many(g: Callable, xs: np.ndarray) -> np.ndarray:
-    """g at every point of xs in one array call, a scalar result broadcast
-    to xs's shape; an exception of g propagates."""
-    return np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _WINDOW_SAMPLES = 10001  # grid points of a window extremum or Lipschitz estimate
+
+
+def _top(v: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(v)[::-1][:k]: the indices of v's k largest entries, largest
+    first.  When those k values are distinct and above all the others, that
+    order is unique and a partition finds it without sorting all of v; ties,
+    NaN and k outside (0, v.size) leave it to the full sort."""
+    n = v.size
+    if 0 < k < n:
+        top = np.argpartition(v, n - k)[n - k:]
+        top = top[np.argsort(v[top])[::-1]]
+        best = v[top]
+        if np.all(best[:-1] > best[1:]) and np.count_nonzero(v >= best[-1]) == k:
+            return top
+    return np.argsort(v)[::-1][:k]
 
 
 def _golden(g: Callable, a: float, b: float, sign: float) -> tuple:
@@ -385,16 +396,19 @@ def window_extremum(g: Callable, lo: float, hi: float, mode: str = "max") -> tup
 
     Deterministic stratified grid of _WINDOW_SAMPLES points plus
     golden-section polish around the ten best candidates; the polished
-    result never loses to a sampled value.
+    result never loses to a sampled value.  The candidates are the first ten
+    of the samples in np.argsort order, best first: a partition picks them
+    when their values are distinct and beat every other sample, the full
+    sort when they tie (a constant or plateau g).
     """
     if hi < lo:
         raise ValueError("empty interval")
     if hi == lo:
         return float(g(lo)), lo
     xs = np.linspace(lo, hi, _WINDOW_SAMPLES)
-    vals = _eval_many(g, xs)
+    vals = _sampled(g, xs)
     sign = 1.0 if mode == "max" else -1.0
-    order = np.argsort(sign * vals)[::-1][:10]
+    order = _top(sign * vals, 10)
     best_val = float(vals[order[0]])
     best_x = float(xs[order[0]])
     step = xs[1] - xs[0]
@@ -683,13 +697,13 @@ def lipschitz_estimate(g: Callable, interval: tuple) -> float:
     if hi <= lo:
         raise ValueError("interval must have positive length")
     xs = np.linspace(lo, hi, _WINDOW_SAMPLES)
-    vals = _eval_many(g, xs)
+    vals = _sampled(g, xs)
     slopes = np.abs(np.diff(vals) / np.diff(xs))
     best = float(slopes.max())
-    for idx in np.argsort(slopes)[::-1][:5]:
+    for idx in _top(slopes, 5):
         a = xs[max(0, idx - 1)]
         b = xs[min(len(xs) - 1, idx + 2)]
         fine = np.linspace(a, b, 1001)
-        fvals = _eval_many(g, fine)
+        fvals = _sampled(g, fine)
         best = max(best, float(np.max(np.abs(np.diff(fvals) / np.diff(fine)))))
     return best

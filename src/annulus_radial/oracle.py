@@ -17,6 +17,7 @@ raises as such.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,11 +134,21 @@ def solve_linear_fd(bvp: LinearBVP) -> GridFunction:
     return GridFunction(x, _tridiagonal_solve(ab, b))
 
 
+@functools.lru_cache(maxsize=1)
+def _gauss_rule() -> tuple:
+    """The _N_GAUSS-point Gauss-Legendre rule on [-1, 1], built on first use
+    (not at import, which every CLI run pays) and kept read-only."""
+    rule = np.polynomial.legendre.leggauss(_N_GAUSS)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _green_representation(params: KernelParams, s_nodes: np.ndarray,
                           rhs: Callable) -> np.ndarray:
     """integral of Xi(s, t) rhs(t) dt per node, split at the t = s kink; each
     panel of all nodes is one array (a zero-width one adds an exact 0)."""
-    xg, wg = np.polynomial.legendre.leggauss(_N_GAUSS)
+    xg, wg = _gauss_rule()
     s = np.asarray(s_nodes, dtype=float)[:, None]
     out = np.zeros(s.shape[0])
     for a, b in ((0.0, s), (s, 1.0)):

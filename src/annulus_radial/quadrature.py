@@ -19,8 +19,9 @@ The independent composite-Simpson cross-checks live in the test suite, not
 here.
 
 Every function handed to this module is called on float64 arrays of
-abscissae only.  It returns an array of the input's shape, or a scalar,
-which is broadcast to it; any exception it raises becomes an
+abscissae only.  It returns an array of the input's shape, which is read
+as it is and never written (it may be read-only, or the input itself), or a
+scalar, which is broadcast to it; any exception it raises becomes an
 EvaluationError("integrand failed: ...").
 
 The endpoint suprema and infima sample each rung [eps, 1] on
@@ -28,17 +29,23 @@ linspace(eps, 1, n) together with geomspace(eps, 1, n), for n = 2049, 4097,
 ... up to 2^18 + 1, and stop once two levels agree within tol.  Both
 families nest bit for bit (the even entries of the 2n - 1 points are the n
 points), so each level evaluates only the points the level before lacks.
-The first two levels' points are kept per cutoff, read-only, in a bounded
-cache: every rung needs both, because the stopping rule compares two
-levels, and most rungs stop there.  Deeper levels are built when reached.
-Traced on 2 vCPUs (Python 3.11, numpy 2.4), the extrema take 14-15 ms of an
-audit cycle (`reproduce` of the four examples) and 22-27 ms of a screen
-cycle, where evaluating every level's whole grid took 44-48 and 63-65 ms.
+The first two levels' points are kept per cutoff, read-only, in one array
+in a bounded cache, and a rung evaluates them in one call (~8,200 points),
+whose values are split back by level: every rung needs both, because the
+stopping rule compares two levels, and most rungs stop there.  Deeper
+levels are built when reached, one call each.  A call costs 10-20 us of
+dispatch whatever its size, which is why the opening levels share one; the
+rungs do not, since past ~16k points a call's cost per point nearly doubles
+(5.3 -> 9.3 ns for 1/(t^2+1) at 16k -> 32k points).
+Traced on 2 vCPUs (Python 3.11, numpy 2.4), the extrema take 7.4 ms of an
+audit cycle (`reproduce` of the four examples) and 12-13 ms of a screen
+cycle, where two calls per rung took 9.1-9.4 and 15-17 ms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -117,14 +124,21 @@ _EPSREL = 1e-13
 _MAX_SUBINTERVALS = 200  # per rung
 
 
+def _sampled(f: Callable, t: np.ndarray) -> np.ndarray:
+    """f at every point of t in one array call, as float values of t's
+    shape: an array of that shape is returned as it is (it may be read-only
+    or t itself; callers only read it), a scalar is broadcast to it."""
+    y = np.asarray(f(t), dtype=float)
+    return y if y.shape == t.shape else np.broadcast_to(y, t.shape)
+
+
 def _evaluator(f: Callable) -> Callable:
-    """Map an array of abscissae to float values of f in one array call; a
-    scalar result is broadcast to the input's shape, and any exception
-    becomes an EvaluationError."""
+    """_sampled(f, .), with any exception of f turned into an
+    EvaluationError."""
 
     def evaluate(t: np.ndarray) -> np.ndarray:
         try:
-            return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
+            return _sampled(f, t)
         except Exception as exc:
             raise EvaluationError(f"integrand failed: {exc}") from exc
 
@@ -167,6 +181,8 @@ def _panels(f: Callable, edges: Sequence[float], tol: float) -> tuple:
         count = np.bincount(rung, minlength=rungs)
         goal = np.maximum(epsabs, _EPSREL * np.abs(total))
         room = np.where(total_err > goal, _MAX_SUBINTERVALS - count, 0)
+        if not room.any():
+            break
         over = np.flatnonzero(err > goal[rung] * width)
         over = over[np.lexsort((-err[over], rung[over]))]
         rank = np.arange(over.size) - np.searchsorted(rung[over], rung[over])
@@ -277,13 +293,22 @@ def _new_points(lo: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def _opening_points(lo: float) -> tuple:
+    """The new points of the first two levels, which every rung evaluates,
+    in one array (the first level's ahead of the second's), and the first
+    level's count; read-only, since it is shared between calls (~65 KB per
+    cutoff)."""
+    first = _new_points(lo, _FIRST_LEVEL)
+    both = np.concatenate([first, _new_points(lo, 2 * _FIRST_LEVEL - 1)])
+    both.flags.writeable = False
+    return both, first.size
+
+
+@functools.lru_cache(maxsize=32)
 def _opening_levels(lo: float) -> tuple:
-    """The new points of the first two levels, which every rung evaluates;
-    read-only, since they are shared between calls (~65 KB per cutoff)."""
-    levels = (_new_points(lo, _FIRST_LEVEL), _new_points(lo, 2 * _FIRST_LEVEL - 1))
-    for grid in levels:
-        grid.flags.writeable = False
-    return levels
+    """The new points of the first two levels, as views of _opening_points."""
+    both, n = _opening_points(lo)
+    return both[:n], both[n:]
 
 
 def _levels(lo: float):
@@ -299,12 +324,16 @@ def _levels(lo: float):
 def _extremum_on(evaluate: Callable, lo: float, tol: float, mode: str) -> float:
     """Extremum of the sampled values on [lo, 1], the sample refined until
     two levels agree within tol or the last level is reached.  Each level
-    evaluates only its new points; np.max/np.min fold them into the running
+    evaluates only its new points, the opening two in one call whose values
+    are split back by level; np.max/np.min fold each level into the running
     extremum, so a NaN propagates as it does over the whole grid."""
     pick = np.max if mode == "max" else np.min
+    both, n = _opening_points(lo)
+    values = evaluate(both)
+    opening = (pick(values[:n]), pick(values[n:]))
+    deeper = (pick(evaluate(grid)) for grid in itertools.islice(_levels(lo), 2, None))
     last = best = None
-    for grid in _levels(lo):
-        level = pick(evaluate(grid))
+    for level in itertools.chain(opening, deeper):
         best = float(level if best is None else pick([best, level]))
         if last is not None and abs(best - last) <= tol * max(1.0, abs(best)):
             return best

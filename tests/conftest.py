@@ -54,6 +54,13 @@ def riemann_midpoint(f, a, b, n=1_000_000):
     return float(np.sum(np.asarray(f(x), dtype=float)) * (b - a) / n)
 
 
+def read_only(y):
+    """A read-only float copy of y."""
+    y = np.array(y, dtype=float)
+    y.flags.writeable = False
+    return y
+
+
 def dense_bound_report(p, grid_size, tol=1e-12):
     """Bound certificate over every entry of the dense m x m kernel matrix:
     the reference route for the O(m) verify_kernel_bounds."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import composite_simpson, count_calls, per_call_contraction_constant
+from conftest import composite_simpson, count_calls, per_call_contraction_constant, read_only
 
 from annulus_radial import conditions
 from annulus_radial.conditions import (
@@ -333,6 +333,47 @@ def test_window_grids_broadcast_a_scalar_result():
         value, point = window_extremum(constant, 0.0, 2.0, mode)
         assert value == 3.0 and 0.0 <= point <= 2.0
     assert lipschitz_estimate(constant, (0.0, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("shape", ["identity", "constant", "plateau"])
+def test_window_grids_read_any_result_of_the_input_shape_alike(shape):
+    # a fresh array, a read-only array, the input array itself, or a scalar
+    same = {
+        "identity": [lambda u: u * 1.0, lambda u: read_only(u), lambda u: u],
+        "constant": [lambda u: np.full(np.shape(u), 2.0),
+                     lambda u: read_only(np.full(np.shape(u), 2.0)), lambda u: 2.0],
+        "plateau": [lambda u: np.minimum(u, 1.5), lambda u: read_only(np.minimum(u, 1.5))],
+    }[shape]
+    def searches(g):
+        return ([window_extremum(g, 0.0, 2.0, mode) for mode in ("max", "min")],
+                lipschitz_estimate(g, (0.0, 2.0)))
+
+    want = searches(same[0])
+    for g in same[1:]:
+        assert searches(g) == want
+
+
+# tie-prone values: a few numbers, signed zeros, infinities and NaN
+_TIE_PRONE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(_TIE_PRONE, st.floats()), max_size=40), st.integers(-2, 45))
+def test_top_is_the_head_of_a_full_argsort(values, k):
+    v = np.array(values, dtype=float)
+    assert np.array_equal(conditions._top(v, k), np.argsort(v)[::-1][:k])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_is_the_head_of_a_full_argsort_on_window_sized_samples(seed):
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal(10001), rng.integers(0, 50, 10001).astype(float),
+             np.round(rng.standard_normal(10001), 2)]
+    with_nan = rng.standard_normal(10001)
+    with_nan[rng.integers(0, 10001, 3)] = np.nan
+    draws.append(with_nan)
+    for v in draws:
+        for k in (1, 5, 10, 10000, 10001, 10002):
+            assert np.array_equal(conditions._top(v, k), np.argsort(v)[::-1][:k])
 
 
 def test_window_grids_keep_the_error_of_an_array_refusing_callable():

@@ -91,3 +91,19 @@ def test_every_command_runs_without_scipy(tmp_path):
     for argv, got in zip(runs, child["runs"]):
         assert got == _in_process(argv), argv
     assert child["green"] == green_consistency(load_config(path).kernel, _rhs, 257)
+
+
+def test_reproduce_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which a fresh CLI run
+    # would pay for (~16 ms); the extremum grids and window candidates avoid it
+    code = ("import sys\n"
+            "from annulus_radial.reproduce import reproduce\n"
+            "for k in (1, 2, 3, 4):\n"
+            "    reproduce(k)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import composite_simpson, riemann_midpoint
+from conftest import composite_simpson, read_only, riemann_midpoint
 
 from annulus_radial import quadrature
 from annulus_radial.exprlang import ExprDomainError, parse
@@ -260,14 +261,17 @@ def whole_grid_ladder(f, mode, tol, cutoffs):
 
 
 def levels_evaluated(f, lo, tol, mode):
-    calls = []
+    """How many levels _extremum_on evaluated, told by the points it
+    evaluated: these must add up to the new points of the first k levels."""
+    points = []
 
     def evaluate(t):
-        calls.append(t.size)
+        points.append(t.size)
         return np.asarray(f(t), dtype=float)
 
     quadrature._extremum_on(evaluate, lo, tol, mode)
-    return len(calls)
+    reached = list(itertools.accumulate(new.size for new in quadrature._levels(lo)))
+    return reached.index(sum(points)) + 1
 
 
 LEVEL_SIZES = [(1 << k) + 1 for k in range(11, 19)]  # 2049 .. 2^18 + 1
@@ -385,6 +389,24 @@ def test_scalar_result_is_broadcast(name):
     assert res.status == CONVERGED
     assert res.value == pytest.approx(2.0, rel=1e-14)
     assert calls and all(len(shape) == 1 and shape[0] > 1 for shape in calls)
+
+
+# the same values handed back as a fresh array, a read-only array, the input
+# array itself, or a scalar
+SAME_VALUES = {
+    "identity": [lambda t: t * 1.0, lambda t: read_only(t), lambda t: t],
+    "constant": [lambda t: np.full(t.shape, 2.0), lambda t: read_only(np.full(t.shape, 2.0)),
+                 lambda t: 2.0],
+}
+
+
+@pytest.mark.parametrize("values", sorted(SAME_VALUES))
+@pytest.mark.parametrize("name", sorted(EVERY_LADDER))
+def test_ladders_read_any_result_of_the_input_shape_alike(name, values):
+    reference, *others = SAME_VALUES[values]
+    want = EVERY_LADDER[name](reference).to_dict()
+    for f in others:
+        assert EVERY_LADDER[name](f).to_dict() == want
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_LADDER))

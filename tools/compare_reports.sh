@@ -28,6 +28,9 @@
 #   base under a fractional exponent (exit 3)
 #   solve on example 4 with g = ["u^-1"], zero raised to a negative power at
 #   the zero start (exit 4)
+#   check --which krasnoselskii on example 1 with g = ["2", "1/(1+exp(-u))"],
+#   a constant and a plateau whose best window samples tie, so that the
+#   candidates' full-sort route reaches the diff
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -72,6 +75,10 @@ doc = example_config(4)
 doc["system"] = {"n": 1, "g": ["u^-1"]}
 with open(f"{sys.argv[1]}/inverse-g.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc = example_config(1)
+doc["system"] = {"n": 2, "g": ["2", "1/(1+exp(-u))"]}
+with open(f"{sys.argv[1]}/plateau-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -94,6 +101,7 @@ commands() {
     echo "solve --config $configs/log-g.json"
     echo "constants --config $configs/root-weight.json"
     echo "solve --config $configs/inverse-g.json"
+    echo "check --config $configs/plateau-g.json --which krasnoselskii"
 }
 
 # every command's stdout, exit code and stderr under one source tree
