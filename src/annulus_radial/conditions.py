@@ -12,19 +12,22 @@ the constant carries the ingredient's status instead of a number (a
 divergent integral must never silently become a digit string).
 
 Window checks sample a nonlinearity over a stated u-interval (stratified
-grid plus golden-section refinement around the best candidates), compare the
-extremum against bound * window-parameter, and report the margin; borderline
-margins are flagged inconclusive rather than asserted.  A grid of window
-extremum or Lipschitz estimate is one array call of the nonlinearity: an
-array result of the grid's shape is read as it is, a scalar result is
-broadcast to the grid, and an exception propagates; the golden-section
-polish calls it one point at a time, which an expression answers through
-its float closure (Expr.eval).  Each family first
-plans its windows (WINDOW_FAMILIES maps a family to its window parameters
-and planner); one judge then evaluates each distinct window once, so equal
-nonlinearities, and several constants sets judged together by
-check_windows, share their extrema.  Expression trees compare by value, any
-other callable by identity; nothing is kept past the call.
+grid plus golden-section refinement around those of the best candidates that
+the sample leaves open, see window_extremum), compare the extremum against
+bound * window-parameter, and report the margin; borderline margins are
+flagged inconclusive rather than asserted.  The refinement assumes that g
+has no extremum between two samples that the sample does not show; an
+aliased or spiky g breaks that assumption, and the sampled extremum with it.
+A grid of window extremum or Lipschitz estimate is one array call of the
+nonlinearity: an array result of the grid's shape is read as it is, a scalar
+result is broadcast to the grid, and an exception propagates; the
+golden-section polish calls it one point at a time, which an expression
+answers through its float closure (Expr.eval).  Each family first plans
+its windows (WINDOW_FAMILIES maps a family to its window parameters and
+planner); one judge then evaluates each distinct window once, so equal
+nonlinearities, and several constants sets judged together by check_windows,
+share their extrema.  Expression trees compare by value, any other callable
+by identity; nothing is kept past the call.
 
 The contraction condition of the uniqueness theorem comes in two variants,
 with and without the wp factor; contraction_constants computes the two
@@ -391,6 +394,23 @@ def _golden(g: Callable, a: float, b: float, sign: float) -> tuple:
     return sign * fd, d
 
 
+def _open(s: np.ndarray, i: int) -> bool:
+    """Whether window_extremum polishes candidate i of the sample s (sign *
+    values): one of samples i-1, i, i+1 is at least both its neighbours (a
+    missing neighbour counts as -inf), and sample i does not equal each
+    neighbour it has.  Reads the five samples around i."""
+    n = s.size
+    start = max(i - 2, 0)
+    near = [-math.inf] * (start - i + 2) + s[start:i + 3].tolist()
+    near += [-math.inf] * (5 - len(near))
+    if (i == 0 or near[2] == near[1]) and (i == n - 1 or near[2] == near[3]):
+        return False
+    return any(
+        0 <= i + k - 2 < n and near[k - 1] <= near[k] >= near[k + 1]
+        for k in (1, 2, 3)
+    )
+
+
 def window_extremum(g: Callable, lo: float, hi: float, mode: str = "max") -> tuple:
     """(extremal value, abscissa) of g over [lo, hi].
 
@@ -400,6 +420,18 @@ def window_extremum(g: Callable, lo: float, hi: float, mode: str = "max") -> tup
     of the samples in np.argsort order, best first: a partition picks them
     when their values are distinct and beat every other sample, the full
     sort when they tie (a constant or plateau g).
+
+    A candidate is polished over its bracket, one sample step to each side,
+    only where the sample leaves it open (_open): with s = sign * values,
+    call sample j weak when s[j] is at least both its neighbours (a missing
+    neighbour counts as -inf); candidate i is polished iff one of samples
+    i-1, i, i+1 is weak and i is not flat, equal to each neighbour it has.
+    A skipped candidate sits on a flat run, or where the sample rises
+    strictly through its bracket towards a better sample.  Its polish could
+    change the result only if g had an extremum between two samples that
+    the sample does not show: an aliased or spiky g, where the sampled
+    search misses the extremum anyway.  The result is never better than
+    polishing all ten would give, and never worse than the best sample.
     """
     if hi < lo:
         raise ValueError("empty interval")
@@ -408,11 +440,14 @@ def window_extremum(g: Callable, lo: float, hi: float, mode: str = "max") -> tup
     xs = np.linspace(lo, hi, _WINDOW_SAMPLES)
     vals = _sampled(g, xs)
     sign = 1.0 if mode == "max" else -1.0
-    order = _top(sign * vals, 10)
+    s = sign * vals
+    order = _top(s, 10)
     best_val = float(vals[order[0]])
     best_x = float(xs[order[0]])
     step = xs[1] - xs[0]
-    for idx in order:
+    for idx in order.tolist():
+        if not _open(s, idx):
+            continue
         a = max(lo, xs[idx] - step)
         b = min(hi, xs[idx] + step)
         val, x = _golden(g, a, b, sign)

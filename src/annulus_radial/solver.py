@@ -23,12 +23,14 @@ w, 24 B per node) from its first solver step for as long as it lives.
 tracemalloc peaks per node on top of that grid (example 4, m = 2^20 + 1):
 Picard 64 B for n >= 2 (phi, psi, the iterate, plain trapezoid weights,
 the |new - u| buffer, one g*w workspace and two layer outputs; 56 B for
-n = 1), float64 recovery (3 + n)*8 B, longdouble recovery (5 + 2n)*8 B (its
-phi, psi and n outputs are longdouble, the rest is float64), and the defect
-check none: it peaks at ~4.8 MB whatever m (~73 B per block node).  On top
-of the m-long arrays, Picard and the float64 recovery hold ~2.1 MB of block
-buffers, the longdouble recovery ~4.5 MB (block and segment buffers and the
-rotation table) and the grid's build ~2.7 MB.
+n = 1; the plain weights are filled block by block like w, so their build
+makes no m-long temporary), float64 recovery (3 + n)*8 B, longdouble
+recovery (5 + 2n)*8 B (its phi, psi and n outputs are longdouble, the rest
+is float64), and the defect check none: it peaks at ~4.8 MB whatever m
+(~73 B per block node).  On top of the m-long arrays, Picard and the
+float64 recovery hold ~2.1 MB of block buffers, the longdouble recovery
+~4.5 MB (block and segment buffers and the rotation table) and the grid's
+build ~2.7 MB.
 Grids of at most 2^16 nodes run as one block.
 
 Threads: a grid of several blocks, in a process that may use more than one
@@ -138,11 +140,8 @@ class ProblemSpec:
         m = nodes.size
         ell, w = np.empty(m), np.empty(m)
         for a, b in _blocks(m):
-            # one neighbour node on each side gives the block's own weights
-            lo, hi = max(a - 1, 0), min(b + 1, m)
             ell[a:b] = weight_ell(nodes[a:b], self.weights, self.transform)
-            np.multiply(trapezoid_weights(nodes[lo:hi])[a - lo:b - lo], ell[a:b],
-                        out=w[a:b])
+            np.multiply(_block_weights(nodes, a, b), ell[a:b], out=w[a:b])
         for x in (nodes, ell, w):
             x.flags.writeable = False
         return _Grid(nodes, ell, w)
@@ -182,6 +181,13 @@ _BLOCK = 1 << 16
 def _blocks(m: int) -> list:
     """(start, stop) of the consecutive blocks of m nodes, left to right."""
     return [(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
+
+
+def _block_weights(nodes: np.ndarray, a: int, b: int) -> np.ndarray:
+    """trapezoid_weights(nodes)[a:b], bit for bit, from the block and one
+    neighbour node on each side."""
+    lo, hi = max(a - 1, 0), min(b + 1, nodes.size)
+    return trapezoid_weights(nodes[lo:hi])[a - lo:b - lo]
 
 
 def _cpus() -> int:
@@ -559,7 +565,9 @@ def picard_solve(
     rho_hist: list = []
     status = "max_iter"
     detail = ""
-    w_plain = trapezoid_weights(asm.nodes)
+    w_plain = np.empty_like(asm.nodes)
+    for a, b in asm.blocks:
+        w_plain[a:b] = _block_weights(asm.nodes, a, b)
     diff = np.empty_like(u)
     for _ in range(max_iter):
         new = asm.apply(u)

@@ -1,9 +1,10 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import composite_simpson, count_calls, per_call_contraction_constant, read_only
 
@@ -28,8 +29,10 @@ from annulus_radial.quadrature import (
     CONVERGED,
     DIVERGENT,
     _reciprocal_sum,
+    _sampled,
     holder_conjugate_check,
 )
+from annulus_radial.reproduce import EXAMPLE_IDS, reproduce
 from annulus_radial.weights import TransformSpec, WeightSpec
 
 TS = TransformSpec(1.0, 3)
@@ -419,6 +422,242 @@ def test_window_evaluation_error_comes_from_the_first_window(monkeypatch):
     with pytest.raises(RuntimeError, match="window failed"):
         check_krasnoselskii([parse("u", "u")], 1.0, 2.0, constants)
     assert seen == [(0.0, 2.0, "max")]
+
+
+# ---------------------------------------------------------------------------
+# window polish: which candidates the sample leaves open
+# ---------------------------------------------------------------------------
+
+
+def _ten_polish_extremum(g, lo, hi, mode="max"):
+    """The second route: window_extremum as it was when it polished each of
+    its ten candidates, whatever the sample says."""
+    if hi < lo:
+        raise ValueError("empty interval")
+    if hi == lo:
+        return float(g(lo)), lo
+    xs = np.linspace(lo, hi, conditions._WINDOW_SAMPLES)
+    vals = _sampled(g, xs)
+    sign = 1.0 if mode == "max" else -1.0
+    order = conditions._top(sign * vals, 10)
+    best_val = float(vals[order[0]])
+    best_x = float(xs[order[0]])
+    step = xs[1] - xs[0]
+    for idx in order:
+        a = max(lo, xs[idx] - step)
+        b = min(hi, xs[idx] + step)
+        val, x = conditions._golden(g, a, b, sign)
+        if sign * val > sign * best_val:
+            best_val, best_x = float(val), float(x)
+    return best_val, best_x
+
+
+def _outcome(search, g, lo, hi, mode):
+    """What search returns, or the type and message of what it raises."""
+    try:
+        return search(g, lo, hi, mode)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bits(outcome):
+    """An outcome with its floats as hex strings (so -0.0 is not 0.0) and
+    every NaN alike."""
+    if isinstance(outcome[0], str):
+        return outcome
+    return tuple("nan" if math.isnan(x) else float(x).hex() for x in outcome)
+
+
+def _assert_routes_agree(source, lo, hi, modes=("max", "min")):
+    g = parse(source, "u")
+    for mode in modes:
+        want = _bits(_outcome(_ten_polish_extremum, g, lo, hi, mode))
+        got = _bits(_outcome(window_extremum, g, lo, hi, mode))
+        assert got == want, (source, lo, hi, mode)
+
+
+@st.composite
+def _polish_windows(draw, resolved: bool):
+    """(source, lo, hi): a window from 1e-3 to 1e9 wide and a sum of up to
+    three terms over it, among sines and cosines, cubic polynomials,
+    constants, abs kinks, piecewise steps and Gaussian bumps.
+
+    resolved=True draws a g that the sample resolves: its sines and cosines
+    turn by at most half a radian per sample step, its bumps are at least
+    two sample steps wide, and at most one term is a kink, a step or a
+    bump.  resolved=False draws aliased sines and cosines, bumps down to a
+    hundredth of a sample step, and any number of kinks, steps and bumps.
+    """
+    lo = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+    width = 10.0 ** draw(st.floats(-3.0, 9.0))
+    step = width / (conditions._WINDOW_SAMPLES - 1)
+
+    def inside():
+        return repr(lo + width * draw(st.floats(0.0, 1.0)))
+
+    coefficient = st.floats(-5.0, 5.0).map(lambda c: repr(round(c, 3)))
+    smooth = ["sin", "cos", "poly", "const"]
+    located = ["kink", "step", "bump"]
+    kinds = smooth + located
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(coefficient)
+        if kind in ("sin", "cos"):
+            top = math.log10(0.5 / step) if resolved else 3.0
+            k = 10.0 ** draw(st.floats(top - 6.0, top))
+            terms.append(f"{a}*{kind}({k!r}*u)")
+        elif kind == "poly":
+            scale = width * 10.0 ** draw(st.floats(-6.0, 0.0))
+            p = draw(st.sampled_from([1, 3]))
+            terms.append(f"{a}*((u - {inside()})/{scale!r})^{p}")
+        elif kind == "const":
+            terms.append(a)
+        elif kind == "kink":
+            terms.append(f"{a}*abs(u - {inside()})")
+        elif kind == "step":
+            terms.append(f"piecewise((u < {inside()}, {a}), (else, {draw(coefficient)}))")
+        else:
+            low = math.log10(2.0 * step) if resolved else math.log10(0.01 * step)
+            sigma = 10.0 ** draw(st.floats(low, math.log10(width) + 1.0))
+            terms.append(f"{a}*exp(-((u - {inside()})/{sigma!r})^2)")
+        if resolved and kind in located:
+            kinds = smooth
+    return " + ".join(terms), lo, lo + width
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polish_windows(resolved=True))
+def test_open_candidates_give_the_ten_polish_extremum(window):
+    _assert_routes_agree(*window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polish_windows(resolved=False))
+def test_open_candidates_never_beat_the_ten_polish_extremum(window):
+    # where g has an extremum between samples that the sample does not show
+    # (aliasing, a narrow bump), the polish of a skipped candidate may have
+    # found a better value, or an equal one first; the rule's value is then
+    # no better than the ten-polish route's, and never worse than the best
+    # sample
+    source, lo, hi = window
+    g = parse(source, "u")
+    for mode, sign in (("max", 1.0), ("min", -1.0)):
+        want = _outcome(_ten_polish_extremum, g, lo, hi, mode)
+        got = _outcome(window_extremum, g, lo, hi, mode)
+        if _bits(got) == _bits(want):
+            continue
+        # an error or a NaN comes from the sample, alike for both routes
+        assert not isinstance(want[0], str) and not math.isnan(want[0])
+        sampled = sign * _sampled(g, np.linspace(lo, hi, conditions._WINDOW_SAMPLES))
+        assert sampled.max() <= sign * got[0] <= sign * want[0]
+        assert lo <= got[1] <= hi
+
+
+def test_an_aliased_window_can_skip_a_winning_polish():
+    # cos(u) turns by ~490 radians per sample step, so the sample shows a
+    # slow wave of aliased values; the polish of a candidate on its slope,
+    # which the rule skips, lands in a deeper trough between samples.
+    # Neither route finds the minimum, about exp(-1) - 1 near the right end.
+    g = parse("cos(u) + exp(-(u/4.9e6)^2)", "u")
+    want = _ten_polish_extremum(g, 0.0, 4.9e6, "min")
+    got = window_extremum(g, 0.0, 4.9e6, "min")
+    assert want[0] < got[0] < want[0] + 1e-3
+    assert want[0] > math.exp(-1.0) - 1.0
+
+
+@functools.cache
+def _seeded_windows(seed: int, count: int) -> tuple:
+    """count windows (source, lo, hi, mode) from numpy's generator at seed,
+    eight kinds in turn: resolved or aliased sines, Gaussian spikes from
+    ~1/30 to ~30 sample steps wide, two abs kinks, a two-edged step, a cubic
+    whose minimum sits in the first sample step of a wide window, a
+    constant, a plateau reached by a quadratic ramp, and an oscillation
+    under a quadratic envelope."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(low, high):  # a Python float, whose repr the grammar reads
+        return float(rng.uniform(low, high))
+
+    out = []
+    for j in range(count):
+        width = 10.0 ** uniform(-3.0, 9.0)
+        lo = 0.0 if rng.random() < 0.4 else uniform(-1.0, 1.0) * 10.0 ** uniform(-3.0, 6.0)
+        hi = lo + width
+        c, d = sorted(lo + width * uniform(0.0, 1.0) for _ in range(2))
+        k = 10.0 ** uniform(-2.0, 4.0)
+        a = round(uniform(-3.0, 3.0), 3)
+        kind = j % 8
+        if kind == 0:
+            source = f"{a} + sin({k!r}*u) + cos(3*u)/5"
+        elif kind == 1:
+            sigma = width / 10000.0 * 10.0 ** uniform(-1.5, 1.5)
+            source = f"{a}*u/{width!r} + exp(-((u - {c!r})/{sigma!r})^2)"
+        elif kind == 2:
+            source = f"abs(u - {c!r}) - {a}*abs(u - {d!r})"
+        elif kind == 3:
+            source = f"piecewise((u < {c!r}, {a}), (u < {d!r}, {a + 1}), (else, {a}))"
+        elif kind == 4:
+            source = f"u^3 - {abs(a) + 1}*u + {a}*u^2/{width!r}"
+        elif kind == 5:
+            source = f"{a}"
+        elif kind == 6:
+            source = (f"piecewise((u < {c!r}, {a}), "
+                      f"(u < {d!r}, {a} + ((u - {c!r})/{d - c!r})^2), (else, {a + 1}))")
+        else:
+            source = f"sin(u/{width!r}*{k!r})*(u/{width!r})^2 - {a}*cos(u/{width!r})"
+        out.append((source, lo, hi, "max" if rng.random() < 0.5 else "min"))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("part", range(10))
+def test_open_candidates_give_the_ten_polish_extremum_on_seeded_windows(part):
+    # 5,000 windows in ten parts of 500.  On the aliased and spike windows
+    # among them the routes agree because these windows hide no winning
+    # extremum from the rule, which it does not guarantee (see the aliased
+    # window above); a rule that skips more polishes shows here first.
+    for source, lo, hi, mode in _seeded_windows(2026, 5000)[part::10]:
+        _assert_routes_agree(source, lo, hi, (mode,))
+
+
+def test_endpoint_candidates_are_polished():
+    # the minimum, -(4/3)sqrt(2/3) at sqrt(2/3), lies inside the first of
+    # the sample steps of 5e4; the polish of the endpoint sample finds it
+    _assert_routes_agree("u^3 - 2*u", 0.0, 5e8, ("min",))
+    value, point = window_extremum(parse("u^3 - 2*u", "u"), 0.0, 5e8, "min")
+    assert value == pytest.approx(-4.0 / 3.0 * math.sqrt(2.0 / 3.0), rel=1e-12)
+    assert point == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-6)
+
+
+def test_the_neighbours_of_a_weak_sample_are_polished():
+    # the kink lies between two samples; polishing the nearest sample alone
+    # returns a point a few ulp further from it
+    _assert_routes_agree("abs(u - 1/3)", 0.0, 1.0, ("min",))
+
+
+def test_polish_budget(monkeypatch):
+    polishes = count_calls(monkeypatch, conditions, "_golden")
+
+    def count(source, lo, hi, mode):
+        polishes.clear()
+        window_extremum(parse(source, "u"), lo, hi, mode)
+        return len(polishes)
+
+    # a flat sample settles every candidate, its endpoints too
+    assert [count("2", 0.0, 2.0, mode) for mode in ("max", "min")] == [0, 0]
+    # one resolved interior peak: its sample and the two beside it
+    assert count("1 + sin(u)/3", 0.0, 3.0, "max") <= 3
+    assert count("2 + cos(3*u)/5", 0.0, 2.0, "min") <= 3
+    # a monotone window: the endpoint sample and its neighbour
+    assert count("u", 0.0, 2.0, "max") <= 2
+    assert count("u", 0.0, 2.0, "min") <= 2
+
+
+def test_polish_budget_of_the_published_examples(monkeypatch):
+    polishes = count_calls(monkeypatch, conditions, "_golden")
+    for k in EXAMPLE_IDS:
+        reproduce(k)
+    assert len(polishes) == 20  # 80 with every candidate polished
 
 
 # ---------------------------------------------------------------------------

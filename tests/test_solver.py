@@ -647,6 +647,27 @@ def test_blocked_passes_bit_identical_to_whole_array(
         _same_pipeline(blocked, _pipeline(dataclasses.replace(spec)))
 
 
+@pytest.mark.parametrize("m", [2**16, 2**16 + 1, 16 * 2**16 + 3])  # 1, 2, 17 blocks
+@pytest.mark.parametrize("spacing", [np.linspace, np.geomspace])
+def test_plain_weights_by_block_equal_the_whole_array_weights(m, spacing):
+    nodes = spacing(1e-3, 1.0, m)
+    w = np.empty(m)
+    for a, b in solver._blocks(m):
+        w[a:b] = solver._block_weights(nodes, a, b)
+    assert np.array_equal(w, trapezoid_weights(nodes))
+
+
+def test_picard_distances_match_whole_array_plain_weights(
+    monkeypatch, default_params, example4_weights
+):
+    spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
+    _, want = picard_solve(spec, tol=1e-12, max_iter=100)
+    whole = trapezoid_weights(make_grid(spec))
+    monkeypatch.setattr(solver, "_block_weights", lambda nodes, a, b: whole[a:b])
+    _, got = picard_solve(spec, tol=1e-12, max_iter=100)
+    assert got.rho_history == want.rho_history and len(want.rho_history) == 3
+
+
 def test_nonlinearity_failing_past_first_block_keeps_its_error(
     monkeypatch, default_params, example4_weights
 ):

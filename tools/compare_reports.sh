@@ -31,6 +31,11 @@
 #   check --which krasnoselskii on example 1 with g = ["2", "1/(1+exp(-u))"],
 #   a constant and a plateau whose best window samples tie, so that the
 #   candidates' full-sort route reaches the diff
+#   check --which krasnoselskii on example 1 with windows a1 = 2 and a2 = 30,
+#   where the window sample leaves most candidates settled and skips their
+#   polish: g = ["1 + sin(u)/3", "2 + cos(3*u)/5"], with resolved single-peak
+#   and multi-peak windows, and g = a valley with a flat floor on
+#   [0.99895, 1.00005], whose edges fall between two samples of each window
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -79,6 +84,17 @@ doc = example_config(1)
 doc["system"] = {"n": 2, "g": ["2", "1/(1+exp(-u))"]}
 with open(f"{sys.argv[1]}/plateau-g.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc = example_config(1)
+doc["windows"] = {"a1": 2, "a2": 30}
+doc["system"] = {"n": 2, "g": ["1 + sin(u)/3", "2 + cos(3*u)/5"]}
+with open(f"{sys.argv[1]}/peaks-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
+doc["system"] = {"n": 1, "g": [
+    "piecewise((u < 0.99895, 1 + (u - 0.99895)^2), (u < 1.00005, 1),"
+    " (else, 1 + (u - 1.00005)^2))"
+]}
+with open(f"{sys.argv[1]}/plateau-edge-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -102,6 +118,8 @@ commands() {
     echo "constants --config $configs/root-weight.json"
     echo "solve --config $configs/inverse-g.json"
     echo "check --config $configs/plateau-g.json --which krasnoselskii"
+    echo "check --config $configs/peaks-g.json --which krasnoselskii"
+    echo "check --config $configs/plateau-edge-g.json --which krasnoselskii"
 }
 
 # every command's stdout, exit code and stderr under one source tree
