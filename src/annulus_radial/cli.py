@@ -38,7 +38,7 @@ from .exprlang import ExprDomainError, ExprError
 from .kernel import (
     DegenerateParametersError,
     cone_floor,
-    kernel_matrix,
+    kernel_eval,
     varrho,
     verify_kernel_bounds,
     wp,
@@ -84,7 +84,7 @@ def cmd_kernel(cfg: AppConfig, grid: int, table: bool, out: Path | None) -> int:
         if grid < 2:
             raise ValueError("grid_size must be >= 2")
         nodes = np.linspace(0.0, 1.0, grid)
-        M = kernel_matrix(cfg.kernel, nodes)
+        M = kernel_eval(cfg.kernel, nodes[:, None], nodes[None, :])
         lines = ["s,t,value"]
         for i, s in enumerate(nodes):
             for j, t in enumerate(nodes):

@@ -82,14 +82,16 @@ class AppConfig:
     kernel: KernelParams
     transform: TransformSpec
     weights: WeightSpec
-    n: int
     g: tuple
     numerics: dict
     windows: dict
 
+    @property
+    def n(self) -> int:
+        return len(self.g)
+
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec(
-            n=self.n,
             g=self.g,
             kernel=self.kernel,
             weights=self.weights,
@@ -211,7 +213,6 @@ def config_from_dict(doc: dict) -> AppConfig:
         kernel=kernel,
         transform=transform,
         weights=weights,
-        n=n,
         g=g,
         numerics=numerics,
         windows=windows,

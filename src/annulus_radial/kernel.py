@@ -25,7 +25,6 @@ __all__ = [
     "varrho",
     "kernel_eval",
     "kernel_diag",
-    "kernel_matrix",
     "wp",
     "cone_floor",
     "verify_kernel_bounds",
@@ -156,18 +155,6 @@ def kernel_diag(p: KernelParams, t):
     return _phi_scaled(p, t) * _psi_scaled(p, t) / _varrho_scaled(p)
 
 
-def kernel_matrix(p: KernelParams, nodes) -> np.ndarray:
-    """Dense kernel matrix M[i, j] = Xi(x_i, x_j) over the nodes x.
-
-    O(m^2) time and memory: it serves `kernel --table` and the dense
-    reference route of the bound certificate in the tests.  The solver uses
-    the separable phi/psi form and verify_kernel_bounds evaluates O(m)
-    entries with the same expression instead of this matrix.
-    """
-    x = np.asarray(nodes, dtype=float)
-    return kernel_eval(p, x[:, None], x[None, :])
-
-
 def _boundary_ratios(p: KernelParams) -> tuple:
     # phi(1), psi(0) are strictly positive for admissible parameters
     den1 = float(phi(p, 1.0))
@@ -230,7 +217,7 @@ class BoundReport:
 _BOUND_TOL = 1e-12  # absolute tolerance of the three kernel bounds
 
 
-def verify_kernel_bounds(p: KernelParams, grid_size: int = 101) -> BoundReport:
+def verify_kernel_bounds(p: KernelParams, grid_size: int) -> BoundReport:
     """Check the three kernel bounds on the uniform grid {i/(grid_size-1)}^2.
 
     (i) Xi >= 0, (ii) Xi(s,t) <= Xi(t,t), (iii) floor * Xi(t,t) <= Xi(s,t)
@@ -242,7 +229,7 @@ def verify_kernel_bounds(p: KernelParams, grid_size: int = 101) -> BoundReport:
     and psi nonincreasing.  So the largest excess (ii) sits next to the
     diagonal and each column's minimum, which decides (i) and (iii), sits in
     row 0 or row m-1; only those ~4m entries are evaluated, with
-    kernel_matrix's expression.  The figures equal the dense m x m check's
+    kernel_eval's expression.  The figures equal the dense m x m check's
     except on near-flat kernels (alpha = gamma = 0, r0 <= 1e-5, Xi ~ 1e12),
     where one ulp of Xi exceeds 1e-12 and neither route's verdict means much.
     """

@@ -37,15 +37,11 @@ levels are built when reached, one call each.  A call costs 10-20 us of
 dispatch whatever its size, which is why the opening levels share one; the
 rungs do not, since past ~16k points a call's cost per point nearly doubles
 (5.3 -> 9.3 ns for 1/(t^2+1) at 16k -> 32k points).
-Traced on 2 vCPUs (Python 3.11, numpy 2.4), the extrema take 7.4 ms of an
-audit cycle (`reproduce` of the four examples) and 12-13 ms of a screen
-cycle, where two calls per rung took 9.1-9.4 and 15-17 ms.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -304,23 +300,6 @@ def _opening_points(lo: float) -> tuple:
     return both, first.size
 
 
-@functools.lru_cache(maxsize=32)
-def _opening_levels(lo: float) -> tuple:
-    """The new points of the first two levels, as views of _opening_points."""
-    both, n = _opening_points(lo)
-    return both[:n], both[n:]
-
-
-def _levels(lo: float):
-    """The new points of each level on [lo, 1], coarsest first; the opening
-    two come from the cache, deeper ones are built when reached."""
-    yield from _opening_levels(lo)
-    n = 4 * (_FIRST_LEVEL - 1) + 1
-    while n <= _LAST_LEVEL:
-        yield _new_points(lo, n)
-        n = 2 * (n - 1) + 1
-
-
 def _extremum_on(evaluate: Callable, lo: float, tol: float, mode: str) -> float:
     """Extremum of the sampled values on [lo, 1], the sample refined until
     two levels agree within tol or the last level is reached.  Each level
@@ -328,17 +307,16 @@ def _extremum_on(evaluate: Callable, lo: float, tol: float, mode: str) -> float:
     are split back by level; np.max/np.min fold each level into the running
     extremum, so a NaN propagates as it does over the whole grid."""
     pick = np.max if mode == "max" else np.min
-    both, n = _opening_points(lo)
+    both, k = _opening_points(lo)
     values = evaluate(both)
-    opening = (pick(values[:n]), pick(values[n:]))
-    deeper = (pick(evaluate(grid)) for grid in itertools.islice(_levels(lo), 2, None))
-    last = best = None
-    for level in itertools.chain(opening, deeper):
-        best = float(level if best is None else pick([best, level]))
-        if last is not None and abs(best - last) <= tol * max(1.0, abs(best)):
+    best, level = float(pick(values[:k])), pick(values[k:])
+    n = 2 * _FIRST_LEVEL - 1
+    while True:
+        last, best = best, float(pick([best, level]))
+        if abs(best - last) <= tol * max(1.0, abs(best)) or n == _LAST_LEVEL:
             return best
-        last = best
-    return best
+        n = 2 * (n - 1) + 1
+        level = pick(evaluate(_new_points(lo, n)))
 
 
 def _classify_levels(eps: list, levels: list, tol: float, mode: str) -> IntegralResult:

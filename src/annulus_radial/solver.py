@@ -34,18 +34,16 @@ build ~2.7 MB.
 Grids of at most 2^16 nodes run as one block.
 
 Threads: a grid of several blocks, in a process that may use more than one
-CPU, hands two jobs that touch numpy only to one helper thread, started and
+CPU, hands one job that touches numpy only to one helper thread, started and
 joined per call (_beside): the suffix sweep of each kernel fold, beside the
-prefix sweep, and the longdouble psi rotation from the table and anchors,
-beside the phi rotation.  The calling thread keeps everything else: every
-public library call (weight_ell, trapezoid_weights, kernel.phi/psi, the
-nonlinearities), the spec's grid, the prefix sweeps, the phi rotation, and
-the table and anchors of the longdouble phi/psi (a few thousand expm1
-points).  The helper allocates nothing: it writes into psi and the fold's
-output, and into buffers that the calling thread allocated.  Every
-operation is the one the inline route performs, in the same order, so every
-float64 and longdouble number is the same bit for bit.  With one CPU or one
-block, both jobs run inline.  No thread outlives a call, so a child made by
+prefix sweep.  The calling thread keeps everything else: every public
+library call (weight_ell, trapezoid_weights, kernel.phi/psi, the
+nonlinearities), the spec's grid, the prefix sweeps, and the longdouble
+phi/psi with their table and anchors.  The helper allocates nothing: it
+writes into the fold's output and into buffers that the calling thread
+allocated.  Every operation is the one the inline route performs, in the
+same order, so every number is the same bit for bit.  With one CPU or one
+block, the sweep runs inline.  No thread outlives a call, so a child made by
 fork() needs no care.
 """
 
@@ -102,22 +100,20 @@ class _Grid(NamedTuple):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Cyclic system description: n nonlinearities over one kernel/weight."""
+    """Cyclic system description: n = len(g) nonlinearities over one
+    kernel/weight."""
 
-    n: int
     g: tuple
     kernel: KernelParams
     weights: WeightSpec
     transform: TransformSpec
-    grid_size: int = 1025
-    cutoff: float = 1e-3
-    metric_p: float = 2.0
+    grid_size: int
+    cutoff: float
+    metric_p: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.g:
             raise ValueError("need at least one equation")
-        if len(self.g) != self.n:
-            raise ValueError("nonlinearity list must have length n")
         if self.grid_size < 16:
             raise ValueError("grid_size must be >= 16")
         if not (0.0 < self.cutoff < 1.0):
@@ -145,6 +141,10 @@ class ProblemSpec:
         for x in (nodes, ell, w):
             x.flags.writeable = False
         return _Grid(nodes, ell, w)
+
+    @property
+    def n(self) -> int:
+        return len(self.g)
 
 
 @dataclass
@@ -200,7 +200,8 @@ def _cpus() -> int:
 def _beside(here, task, inline: bool) -> None:
     """Run task() on a helper thread while here() runs on the calling thread.
 
-    task touches numpy only: no public library function, and no allocation.
+    The kernel fold's suffix sweep is the one task.  It touches numpy only:
+    no public library function, and no allocation.
     Returns when both have finished; an exception of here(), else of task(),
     propagates as it was raised.  With inline set, here() and then task()
     run on the calling thread.
@@ -295,8 +296,7 @@ def _abscissae(spec: ProblemSpec, idx: np.ndarray) -> tuple:
 def _rotate(out, anchors, table, tmp) -> None:
     """Fill out[i] = A + (A*(cosh - 1) + B*sinh) for the nodes counted from
     the anchor end, with (A, B) the anchor pair of node i's segment and the
-    table row of its offset in it; numpy only and into tmp, so it may run on
-    the helper thread."""
+    table row of its offset in it; tmp holds one segment."""
     (a_values, b_values), (sh, chm1) = anchors, table
     for j, lo in enumerate(range(0, out.size, _SEGMENT)):
         o = out[lo:lo + _SEGMENT]
@@ -336,9 +336,10 @@ class _Assembled:
 
     The nodes and the ell-weighted trapezoid weights w are the spec's
     grid (ProblemSpec._grid), shared by every assembly of the spec.  The
-    float64 phi and psi are filled one block at a time.  The calling thread
-    makes the rotation's table and anchors, then fills the longdouble phi
-    from them one segment at a time while the helper thread fills psi.
+    float64 phi and psi are filled one block at a time, the longdouble ones
+    from the rotation's table and anchors one segment at a time, phi and
+    then psi through one segment buffer, all on the calling thread.  Only
+    kernel_fold hands work to the helper thread.
     """
 
     def __init__(self, spec: ProblemSpec, extended: bool = False):
@@ -352,17 +353,15 @@ class _Assembled:
         m = spec.grid_size
         self.nodes, _, self.w = spec._grid
         self.blocks = _blocks(m)
-        # one block, or one CPU, leaves a helper thread nothing to overlap
+        # one block, or one CPU, leaves the fold's sweeps nothing to overlap
         self.inline = len(self.blocks) == 1 or _cpus() == 1
         self.phi, self.psi = np.empty(m, dtype), np.empty(m, dtype)
         self.root = np.sqrt(dtype(varrho(spec.kernel)))
         if extended:
             phi_anchors, psi_anchors, table = self._rotation()
-            # one segment buffer per factor, allocated here
-            tmp = [np.empty(min(_SEGMENT, m), dtype) for _ in range(2)]
-            _beside(lambda: _rotate(self.phi, phi_anchors, table, tmp[0]),
-                    lambda: _rotate(self.psi[::-1], psi_anchors, table, tmp[1]),
-                    self.inline)
+            tmp = np.empty(min(_SEGMENT, m), dtype)
+            _rotate(self.phi, phi_anchors, table, tmp)
+            _rotate(self.psi[::-1], psi_anchors, table, tmp)
         else:
             k = spec.kernel
             for a, b in self.blocks:

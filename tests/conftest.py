@@ -26,7 +26,6 @@ from annulus_radial.kernel import (
     cone_floor,
     kernel_diag,
     kernel_eval,
-    kernel_matrix,
     wp,
 )
 from annulus_radial.quadrature import (
@@ -65,7 +64,7 @@ def dense_bound_report(p, grid_size, tol=1e-12):
     """Bound certificate over every entry of the dense m x m kernel matrix:
     the reference route for the O(m) verify_kernel_bounds."""
     nodes = np.linspace(0.0, 1.0, grid_size)
-    M = kernel_matrix(p, nodes)
+    M = kernel_eval(p, nodes[:, None], nodes[None, :])
     diag = np.diag(M)
     floor = cone_floor(p)
     neg = max(0.0, float(-M.min()))

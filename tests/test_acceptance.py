@@ -222,8 +222,9 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
 
     # (a) zero nonlinearity: one iteration to the zero profile
     spec_a = ProblemSpec(
-        n=2, g=(parse("0", "u"), parse("0", "u")), kernel=default_params,
+        g=(parse("0", "u"), parse("0", "u")), kernel=default_params,
         weights=synthetic_unit_weight, transform=TS, grid_size=257, cutoff=1e-6,
+        metric_p=2.0,
     )
     u_a, tr_a = picard_solve(spec_a, tol=1e-10, max_iter=100)
     _record(tr_a)
@@ -235,8 +236,9 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
     ratio = alpha2 = None
     for m in (513, 1025):
         spec_b = ProblemSpec(
-            n=1, g=(parse("u/100", "u"),), kernel=default_params,
+            g=(parse("u/100", "u"),), kernel=default_params,
             weights=synthetic_unit_weight, transform=TS, grid_size=m, cutoff=1e-6,
+            metric_p=2.0,
         )
         u_b, tr_b = picard_solve(spec_b, init=1.0, tol=1e-13, max_iter=100)
         _record(tr_b)
@@ -254,8 +256,9 @@ def test_criterion_07_picard_solver(default_params, synthetic_unit_weight,
 
     # (c) regularized coupled example with the singular weight
     spec_c = ProblemSpec(
-        n=2, g=example4_nonlinearities, kernel=default_params,
+        g=example4_nonlinearities, kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=32001, cutoff=1e-3,
+        metric_p=2.0,
     )
     u_c, tr_c = picard_solve(spec_c, tol=1e-12, max_iter=100)
     _record(tr_c)
@@ -282,9 +285,10 @@ def test_criterion_08_metric_domination(default_params, synthetic_unit_weight):
     if not RECORDED_TRACES:  # allow running this criterion in isolation
         for srcs, init in ((("u/100",), 1.0), (("1/(1+u)", "1/(1+u)"), 0.0)):
             spec = ProblemSpec(
-                n=len(srcs), g=tuple(parse(s, "u") for s in srcs),
+                g=tuple(parse(s, "u") for s in srcs),
                 kernel=default_params, weights=synthetic_unit_weight,
                 transform=TS, grid_size=257, cutoff=1e-6,
+                metric_p=2.0,
             )
             _record(picard_solve(spec, init=init, tol=1e-12, max_iter=100)[1])
     steps = 0

@@ -47,6 +47,8 @@ def test_valid_config_builds_specs():
 def test_defaults_fill_missing_sections():
     cfg = config_from_dict({"kernel": {"alpha": 1, "beta": 1, "gamma": 1, "delta": 1}})
     assert cfg.n == 1
+    with pytest.raises(AttributeError):  # len(cfg.g), read-only
+        cfg.n = 2
     assert cfg.numerics["grid_size"] == 1025
     assert cfg.weights.synthetic
 
@@ -73,7 +75,7 @@ def test_schema_type_and_consistency_errors():
         config_from_dict({})  # kernel required
     doc = minimal_config()
     doc["system"] = {"n": 2, "g": ["u"]}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="system.g must list exactly n expressions"):
         config_from_dict(doc)
     doc = minimal_config()
     doc["kernel"]["alpha"] = "one"

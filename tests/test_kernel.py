@@ -12,7 +12,6 @@ from annulus_radial.kernel import (
     cone_floor,
     kernel_diag,
     kernel_eval,
-    kernel_matrix,
     phi,
     psi,
     varrho,
@@ -103,7 +102,8 @@ def test_kernel_eval_broadcasts_like_scalar_calls(asym_params):
         assert np.array_equal(pairwise, [kernel_eval(p, float(a), float(b))
                                          for a, b in zip(s, t)])
         outer = kernel_eval(p, s[:, None], s[None, :])
-        assert np.array_equal(outer, kernel_matrix(p, s))
+        assert np.array_equal(outer, [[kernel_eval(p, float(a), float(b)) for b in s]
+                                      for a in s])
         assert type(kernel_eval(p, 0.25, 0.75)) is float
 
 
@@ -118,7 +118,8 @@ def test_kernel_domain_error_names_the_first_bad_pair(default_params):
         with pytest.raises(DomainError):
             kernel_eval(default_params, 0.5, bad)
         with pytest.raises(DomainError):
-            kernel_matrix(default_params, np.array([0.0, bad, 1.0]))
+            x = np.array([0.0, bad, 1.0])
+            kernel_eval(default_params, x[:, None], x[None, :])
 
 
 def test_wp_values(default_params):
@@ -204,7 +205,7 @@ def test_max_ratio_constant_fails_where_min_succeeds():
     # strongly asymmetric ends the max variant violates the lower bound
     p = KernelParams(10.0, 0.1, 0.1, 10.0, 1.0, 3)
     nodes = np.linspace(0.0, 1.0, 51)
-    M = kernel_matrix(p, nodes)
+    M = kernel_eval(p, nodes[:, None], nodes[None, :])
     diag = np.diag(M)
     floor_violation = float((cone_floor(p) * diag[None, :] - M).max())
     max_violation = float((wp(p) * diag[None, :] - M).max())
@@ -214,7 +215,7 @@ def test_max_ratio_constant_fails_where_min_succeeds():
 
 def test_matrix_agrees_with_pointwise(asym_params):
     nodes = np.linspace(0.0, 1.0, 17)
-    M = kernel_matrix(asym_params, nodes)
+    M = kernel_eval(asym_params, nodes[:, None], nodes[None, :])
     for i in (0, 5, 16):
         for j in (0, 3, 16):
             assert M[i, j] == pytest.approx(

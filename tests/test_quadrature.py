@@ -260,6 +260,14 @@ def whole_grid_ladder(f, mode, tol, cutoffs):
     return quadrature._classify_levels(eps, levels, tol, mode)
 
 
+def level_points(lo):
+    """The new points of each level on [lo, 1], coarsest first: the opening
+    two split back from _opening_points, the deeper ones from _new_points."""
+    both, n = quadrature._opening_points(lo)
+    deeper = (quadrature._new_points(lo, k) for k in LEVEL_SIZES[2:])
+    return [both[:n], both[n:], *deeper]
+
+
 def levels_evaluated(f, lo, tol, mode):
     """How many levels _extremum_on evaluated, told by the points it
     evaluated: these must add up to the new points of the first k levels."""
@@ -270,7 +278,7 @@ def levels_evaluated(f, lo, tol, mode):
         return np.asarray(f(t), dtype=float)
 
     quadrature._extremum_on(evaluate, lo, tol, mode)
-    reached = list(itertools.accumulate(new.size for new in quadrature._levels(lo)))
+    reached = list(itertools.accumulate(new.size for new in level_points(lo)))
     return reached.index(sum(points)) + 1
 
 
@@ -295,7 +303,7 @@ def test_sample_families_nest_bit_for_bit(lo):
 @pytest.mark.parametrize("lo", DEFAULT_CUTOFFS)
 def test_new_points_make_up_each_whole_grid(lo):
     seen = np.empty(0)
-    for n, new in zip(LEVEL_SIZES, quadrature._levels(lo)):
+    for n, new in zip(LEVEL_SIZES, level_points(lo)):
         assert np.all(np.diff(new) > 0.0)
         grid = np.union1d(np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n))
         seen = np.union1d(seen, new)
@@ -343,12 +351,14 @@ def test_ladder_cases_stop_where_they_are_named_for():
 
 
 def test_opening_levels_are_cached_read_only():
-    first = quadrature._opening_levels(1e-3)
-    assert quadrature._opening_levels(1e-3) is first
-    for grid in first:
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0] = 0.0
+    both, n = quadrature._opening_points(1e-3)
+    assert quadrature._opening_points(1e-3)[0] is both
+    assert not both.flags.writeable
+    with pytest.raises(ValueError):
+        both[0] = 0.0
+    # the first level's new points ahead of the second's
+    for size, grid in zip(LEVEL_SIZES, (both[:n], both[n:])):
+        assert np.array_equal(grid, quadrature._new_points(1e-3, size))
     f = lambda t: np.cos(7.0 * t) / t
     assert endpoint_supremum(f).to_dict() == endpoint_supremum(f).to_dict()
     assert endpoint_infimum(f).to_dict() == endpoint_infimum(f).to_dict()

@@ -38,13 +38,13 @@ TS = TransformSpec(1.0, 3)
 
 def synthetic_spec(default_params, ws, g_sources, grid_size=513, cutoff=1e-6):
     return ProblemSpec(
-        n=len(g_sources),
         g=tuple(parse(src, "u") for src in g_sources),
         kernel=default_params,
         weights=ws,
         transform=TS,
         grid_size=grid_size,
         cutoff=cutoff,
+        metric_p=2.0,
     )
 
 
@@ -204,8 +204,9 @@ def test_recover_rejects_a_tol_that_is_not_finite_and_positive(
 ):
     # nan and inf skipped the closure check: this u_1 closes the cycle only
     # to 4.98, and came back as components
-    spec = ProblemSpec(n=2, g=example4_nonlinearities, kernel=default_params,
-                       weights=example4_weights, transform=TS, grid_size=1025)
+    spec = ProblemSpec(g=example4_nonlinearities, kernel=default_params,
+                       weights=example4_weights, transform=TS, grid_size=1025,
+                       cutoff=1e-3, metric_p=2.0)
     bogus = GridFunction.constant(make_grid(spec), 5.0)
     for extended in (False, True):
         with pytest.raises(ValueError,
@@ -217,13 +218,13 @@ def test_example4_components_nonnegative_in_cone(
     default_params, example4_weights, example4_nonlinearities
 ):
     spec = ProblemSpec(
-        n=2,
         g=example4_nonlinearities,
         kernel=default_params,
         weights=example4_weights,
         transform=TS,
         grid_size=8001,
         cutoff=1e-3,
+        metric_p=2.0,
     )
     u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
     assert trace.converged
@@ -250,8 +251,9 @@ def test_residual_second_order_on_manufactured_solution(default_params):
     res = []
     for m in (257, 513):
         spec = ProblemSpec(
-            n=1, g=(parse("1", "u"),), kernel=default_params, weights=ws,
+            g=(parse("1", "u"),), kernel=default_params, weights=ws,
             transform=TS, grid_size=m, cutoff=1e-6,
+            metric_p=2.0,
         )
         nodes = make_grid(spec)
         comps = [GridFunction(nodes, u_star(nodes))]
@@ -315,8 +317,9 @@ def test_multistart_counts_an_overflowing_start_as_diverging(synthetic_unit_weig
     # u'' - u + 2 e^u = 0 with Dirichlet ends: Picard reaches only the lower
     # of its two solutions, and from level 6 its iterates overflow exp
     dirichlet = KernelParams(1.0, 0.0, 1.0, 0.0, 1.0, 3)
-    spec = ProblemSpec(n=1, g=(parse("2*exp(u)", "u"),), kernel=dirichlet,
-                       weights=synthetic_unit_weight, transform=TS, grid_size=2049)
+    spec = ProblemSpec(g=(parse("2*exp(u)", "u"),), kernel=dirichlet,
+                       weights=synthetic_unit_weight, transform=TS, grid_size=2049,
+                       cutoff=1e-3, metric_p=2.0)
     with pytest.raises(EvaluationError, match="overflow in 'exp\\(u\\)'"):
         picard_solve(spec, init=6.0, tol=1e-10, max_iter=100)
     found = multistart_solve(spec, [0.0, 0.5, 6.0], tol=1e-10, max_iter=100)
@@ -344,8 +347,8 @@ def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_wei
         seen.append(v.dtype)
         return 1.0 / (1.0 + v)
 
-    spec = ProblemSpec(n=1, g=(g,), kernel=default_params,
-                       weights=synthetic_unit_weight, transform=TS, grid_size=257)
+    spec = ProblemSpec(g=(g,), kernel=default_params, weights=synthetic_unit_weight,
+                       transform=TS, grid_size=257, cutoff=1e-3, metric_p=2.0)
     u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
     components = recover_components(spec, u, extended_precision=True, tol=1e-8)
     assert components[0].values.dtype == np.longdouble
@@ -354,19 +357,31 @@ def test_worst_defects_evaluates_g_in_float64(default_params, synthetic_unit_wei
     assert seen and set(seen) == {np.dtype(float)}
 
 
+def _zero_spec(default_params, ws, *, g=(parse("0", "u"),), grid_size=1025,
+               cutoff=1e-3, metric_p=2.0):
+    return ProblemSpec(g=g, kernel=default_params, weights=ws, transform=TS,
+                       grid_size=grid_size, cutoff=cutoff, metric_p=metric_p)
+
+
 def test_problem_spec_validation(default_params, synthetic_unit_weight):
+    with pytest.raises(ValueError, match="need at least one equation"):
+        _zero_spec(default_params, synthetic_unit_weight, g=())
     with pytest.raises(ValueError):
-        ProblemSpec(n=0, g=(), kernel=default_params,
-                    weights=synthetic_unit_weight, transform=TS)
+        _zero_spec(default_params, synthetic_unit_weight, grid_size=8)
     with pytest.raises(ValueError):
-        ProblemSpec(n=2, g=(parse("0", "u"),), kernel=default_params,
-                    weights=synthetic_unit_weight, transform=TS)
-    with pytest.raises(ValueError):
-        ProblemSpec(n=1, g=(parse("0", "u"),), kernel=default_params,
-                    weights=synthetic_unit_weight, transform=TS, grid_size=8)
-    with pytest.raises(ValueError):
-        ProblemSpec(n=1, g=(parse("0", "u"),), kernel=default_params,
-                    weights=synthetic_unit_weight, transform=TS, cutoff=0.0)
+        _zero_spec(default_params, synthetic_unit_weight, cutoff=0.0)
+
+
+def test_problem_spec_size_is_the_length_of_g(default_params, synthetic_unit_weight):
+    spec = _zero_spec(default_params, synthetic_unit_weight, g=(parse("0", "u"),) * 3)
+    assert spec.n == 3
+    with pytest.raises(AttributeError):
+        spec.n = 2
+    # the grid, cutoff and metric come from the caller, as the config's
+    # numerics: the spec restates no default of its own
+    with pytest.raises(TypeError):
+        ProblemSpec(g=spec.g, kernel=default_params, weights=synthetic_unit_weight,
+                    transform=TS)
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan])
@@ -374,8 +389,7 @@ def test_problem_spec_refuses_a_non_finite_metric(p, default_params,
                                                   synthetic_unit_weight):
     # inf made every rho_history entry sum(diff**inf)**0 = 1.0
     with pytest.raises(ValueError, match=f"metric exponent must be finite, got {p!r}"):
-        ProblemSpec(n=1, g=(parse("0", "u"),), kernel=default_params,
-                    weights=synthetic_unit_weight, transform=TS, metric_p=p)
+        _zero_spec(default_params, synthetic_unit_weight, metric_p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +410,9 @@ _END_CONDITIONS = {
 
 
 def _factor_spec(bc, r0, m, weight):
-    return ProblemSpec(n=1, g=(parse("u", "u"),), kernel=KernelParams(*bc, r0=r0),
-                       weights=weight, transform=TS, grid_size=m, cutoff=1e-3)
+    return ProblemSpec(g=(parse("u", "u"),), kernel=KernelParams(*bc, r0=r0),
+                       weights=weight, transform=TS, grid_size=m, cutoff=1e-3,
+                       metric_p=2.0)
 
 
 # (ends, r0, segment length): the default _SEGMENT makes one segment of
@@ -499,8 +514,9 @@ def test_longdouble_fill_takes_expm1_at_anchors_and_one_table(
     m, monkeypatch, default_params, synthetic_unit_weight
 ):
     calls = count_calls(monkeypatch, solver, "_sinh_coshm1")
-    spec = ProblemSpec(n=1, g=(parse("u", "u"),), kernel=default_params,
-                       weights=synthetic_unit_weight, transform=TS, grid_size=m)
+    spec = ProblemSpec(g=(parse("u", "u"),), kernel=default_params,
+                       weights=synthetic_unit_weight, transform=TS, grid_size=m,
+                       cutoff=1e-3, metric_p=2.0)
     _Assembled(spec, extended=True)
     seg = solver._SEGMENT
     anchors = -(-m // seg)
@@ -534,8 +550,9 @@ def test_longdouble_anchors_sit_on_the_longdouble_linspace(
 @pytest.fixture(scope="module")
 def example4_fine(default_params, example4_weights, example4_nonlinearities):
     spec = ProblemSpec(
-        n=2, g=example4_nonlinearities, kernel=default_params,
+        g=example4_nonlinearities, kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=2**18 + 1, cutoff=1e-3,
+        metric_p=2.0,
     )
     u, trace = picard_solve(spec, tol=1e-12, max_iter=100)
     assert trace.converged
@@ -593,8 +610,9 @@ _G3 = ("cos(u)/10000", "u/(10000*(u+1))", "(1 + sin(u))/20000")
 
 def _example4_spec(default_params, example4_weights, m, g):
     return ProblemSpec(
-        n=len(g), g=tuple(parse(src, "u") for src in g), kernel=default_params,
+        g=tuple(parse(src, "u") for src in g), kernel=default_params,
         weights=example4_weights, transform=TS, grid_size=m, cutoff=1e-3,
+        metric_p=2.0,
     )
 
 
@@ -742,8 +760,8 @@ def test_pool_stress_many_blocks_more_workers_than_cores(
 ):
     # 16-node blocks make 17 blocks of 257 nodes, so the two sweeps of each
     # fold meet 17 times, and 16-node segments make the longdouble phi and
-    # psi rotations 17 segments each, side by side; a switch interval of a
-    # microsecond makes the two threads interleave densely
+    # psi rotations 17 segments each; a switch interval of a microsecond
+    # makes the two threads interleave densely
     monkeypatch.setattr(solver, "_BLOCK", 16)
     monkeypatch.setattr(solver, "_SEGMENT", 16)
     spec = _example4_spec(default_params, example4_weights, 257, _G3[:1])
@@ -768,11 +786,24 @@ def test_pool_stress_many_blocks_more_workers_than_cores(
         sys.setswitchinterval(interval)
 
 
+def _on_task(monkeypatch, task_wrapper):
+    """Route the task of every _beside call through task_wrapper(task)."""
+    beside = solver._beside
+    calls = []
+
+    def wrapped(here, task, inline):
+        calls.append(inline)
+        return beside(here, task_wrapper(task), inline)
+
+    monkeypatch.setattr(solver, "_beside", wrapped)
+    return calls
+
+
 def test_public_calls_stay_on_the_calling_thread(
     solver_route, monkeypatch, default_params, example4_weights
 ):
     solver_route(2)
-    threads = {"public": [], "fill": []}
+    threads = {"public": [], "sweep": []}
 
     def on_thread(key, fn):
         def recorded(*args, **kwargs):
@@ -780,17 +811,18 @@ def test_public_calls_stay_on_the_calling_thread(
             return fn(*args, **kwargs)
         return recorded
 
-    for name in ("weight_ell", "trapezoid_weights", "phi", "psi"):
+    for name in ("weight_ell", "trapezoid_weights", "phi", "psi", "_rotate"):
         monkeypatch.setattr(solver, name, on_thread("public", getattr(solver, name)))
-    monkeypatch.setattr(solver, "_rotate", on_thread("fill", solver._rotate))
+    calls = _on_task(monkeypatch, lambda task: on_thread("sweep", task))
     spec = _example4_spec(default_params, example4_weights, 2**17 + 1, _G3[:2])
     spec = dataclasses.replace(spec, g=tuple(on_thread("public", g) for g in spec.g))
     _pipeline(spec)
     assert len(threads["public"]) > 20
     assert set(threads["public"]) == {threading.get_ident()}
-    # the helper thread did run a longdouble factor rotation, so the check
+    # every fold ran its suffix sweep on the helper thread, so the check
     # above means something
-    assert set(threads["fill"]) - {threading.get_ident()}
+    assert len(threads["sweep"]) == len(calls) > 0 and not any(calls)
+    assert threading.get_ident() not in threads["sweep"]
 
 
 def test_worker_exception_reaches_the_caller(
@@ -801,19 +833,20 @@ def test_worker_exception_reaches_the_caller(
     u, _ = picard_solve(spec, tol=1e-12, max_iter=100)
     want = recover_components(spec, u, tol=1e-10, extended_precision=True)
     raised = []
-    rotate = solver._rotate
 
-    def fails_on_psi(out, *args):
-        if out.strides[0] < 0:  # psi, filled from its right end
-            raised.append(ArithmeticError("fill failed"))
-            raise raised[-1]
-        return rotate(out, *args)
+    def failing(task):
+        def sweep():
+            raised.append((threading.get_ident(), ArithmeticError("sweep failed")))
+            raise raised[-1][1]
+        return sweep
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_rotate", fails_on_psi)
+        _on_task(mp, failing)
         with pytest.raises(ArithmeticError) as info:
             recover_components(spec, u, tol=1e-10, extended_precision=True)
-    assert info.value is raised[0]
+    # raised on the helper thread, re-raised on the calling one
+    assert len(raised) == 1 and info.value is raised[0][1]
+    assert raised[0][0] != threading.get_ident()
     # nothing is left behind: the next call runs as before
     got = recover_components(spec, u, tol=1e-10, extended_precision=True)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
@@ -935,8 +968,8 @@ def test_shared_spec_matches_a_fresh_spec_per_call(
 def test_failed_grid_build_keeps_nothing(default_params):
     # ell fails in the grid's last block only: s > 0.9
     ws = WeightSpec(synthetic_override=parse("sqrt(0.9 - t)", "t"))
-    spec = ProblemSpec(n=1, g=(parse("u/100", "u"),), kernel=default_params, weights=ws,
-                       transform=TS, grid_size=2**17 + 1, cutoff=1e-3)
+    spec = ProblemSpec(g=(parse("u/100", "u"),), kernel=default_params, weights=ws,
+                       transform=TS, grid_size=2**17 + 1, cutoff=1e-3, metric_p=2.0)
     errors = []
     for _ in range(2):
         with pytest.raises(ValueError) as info:

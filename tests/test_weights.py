@@ -314,8 +314,9 @@ def _entry_points(monkeypatch, params, ws, ts):
         "contraction_constants K=0": lambda: conditions.contraction_constants(
             params, ws, ts, 0.0, 1, 2.0, 2.0),
         "upsilon": lambda: upsilon(0.5, params, ws, ts),
-        "ProblemSpec": lambda: ProblemSpec(n=1, g=(parse("0", "u"),), kernel=params,
-                                           weights=ws, transform=ts),
+        "ProblemSpec": lambda: ProblemSpec(g=(parse("0", "u"),), kernel=params,
+                                           weights=ws, transform=ts, grid_size=1025,
+                                           cutoff=1e-3, metric_p=2.0),
     }
 
 

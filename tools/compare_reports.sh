@@ -20,6 +20,7 @@
 #   blocks, so that the solver's multi-block fold reaches the diff
 #   solve --multistart on example 1, several Picard runs on one spec
 #   kernel --grid 101 and --grid 4001 on example 1
+#   kernel --grid 5 --table on example 1, the kernel matrix as CSV
 #   constants, and check --which krasnoselskii, on example 1 with the
 #   synthetic weight log(t-0.5), whose quadrature fails (exit 3)
 #   solve on example 4 with g = ["log(u)"], which fails at the zero start
@@ -36,6 +37,9 @@
 #   polish: g = ["1 + sin(u)/3", "2 + cos(3*u)/5"], with resolved single-peak
 #   and multi-peak windows, and g = a valley with a flat floor on
 #   [0.99895, 1.00005], whose edges fall between two samples of each window
+#   check --which krasnoselskii on example 1 with windows a1 = 2 and a2 = 30
+#   and g = ["u^1.5*exp(-u)"], whose interior maximum at u = 1.5 the window
+#   polish reaches through a fractional power on the scalar route
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -95,6 +99,9 @@ doc["system"] = {"n": 1, "g": [
 ]}
 with open(f"{sys.argv[1]}/plateau-edge-g.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc["system"] = {"n": 1, "g": ["u^1.5*exp(-u)"]}
+with open(f"{sys.argv[1]}/power-peak-g.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -112,6 +119,7 @@ commands() {
     echo "solve --config $configs/example-1.json --multistart"
     echo "kernel --config $configs/example-1.json --grid 101"
     echo "kernel --config $configs/example-1.json --grid 4001"
+    echo "kernel --config $configs/example-1.json --grid 5 --table"
     echo "constants --config $configs/log-weight.json"
     echo "check --config $configs/log-weight.json --which krasnoselskii"
     echo "solve --config $configs/log-g.json"
@@ -120,6 +128,7 @@ commands() {
     echo "check --config $configs/plateau-g.json --which krasnoselskii"
     echo "check --config $configs/peaks-g.json --which krasnoselskii"
     echo "check --config $configs/plateau-edge-g.json --which krasnoselskii"
+    echo "check --config $configs/power-peak-g.json --which krasnoselskii"
 }
 
 # every command's stdout, exit code and stderr under one source tree
