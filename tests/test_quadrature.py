@@ -1,15 +1,16 @@
-import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import composite_simpson, read_only, riemann_midpoint
 
 from annulus_radial import quadrature
+from annulus_radial.config import config_from_dict
 from annulus_radial.exprlang import ExprDomainError, parse
-from annulus_radial.kernel import kernel_diag
+from annulus_radial.kernel import KernelParams, kernel_diag
 from annulus_radial.quadrature import (
     CONVERGED,
     CUTOFF_LIMITED,
@@ -22,6 +23,8 @@ from annulus_radial.quadrature import (
     integrate,
     p_norm,
 )
+from annulus_radial.reproduce import EXAMPLE_IDS, example_config
+from annulus_radial.weights import weight_bundle
 
 RNG = np.random.default_rng(11)
 
@@ -230,8 +233,7 @@ def test_non_integrable_spike_stops_at_the_subinterval_cap():
 
 
 # ---------------------------------------------------------------------------
-# the nested, memoized extremum ladder against the whole-grid ladder it
-# replaced
+# the shared-sample extremum ladder, and the whole-grid ladder it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -260,37 +262,8 @@ def whole_grid_ladder(f, mode, tol, cutoffs):
     return quadrature._classify_levels(eps, levels, tol, mode)
 
 
-def level_points(lo):
-    """The new points of each level on [lo, 1], coarsest first: the opening
-    two split back from _opening_points, the deeper ones from _new_points."""
-    both, n = quadrature._opening_points(lo)
-    deeper = (quadrature._new_points(lo, k) for k in LEVEL_SIZES[2:])
-    return [both[:n], both[n:], *deeper]
-
-
-def levels_evaluated(f, lo, tol, mode):
-    """How many levels _extremum_on evaluated, told by the points it
-    evaluated: these must add up to the new points of the first k levels."""
-    points = []
-
-    def evaluate(t):
-        points.append(t.size)
-        return np.asarray(f(t), dtype=float)
-
-    quadrature._extremum_on(evaluate, lo, tol, mode)
-    reached = list(itertools.accumulate(new.size for new in level_points(lo)))
-    return reached.index(sum(points)) + 1
-
-
 LEVEL_SIZES = [(1 << k) + 1 for k in range(11, 19)]  # 2049 .. 2^18 + 1
-LO = 1e-6
-THIRD = LO + (1.0 - LO) / 3.0  # never on linspace(LO, 1, 2^k + 1)
 NEW_AT_SECOND = float(np.linspace(1e-2, 1.0, 4097)[2049])  # not on level 2049
-
-
-def test_level_sizes_are_the_ladders():
-    assert LEVEL_SIZES[0] == quadrature._FIRST_LEVEL
-    assert LEVEL_SIZES[-1] == quadrature._LAST_LEVEL
 
 
 @pytest.mark.parametrize("lo", DEFAULT_CUTOFFS)
@@ -300,21 +273,12 @@ def test_sample_families_nest_bit_for_bit(lo):
             assert np.array_equal(family(lo, 1.0, 2 * n - 1)[::2], family(lo, 1.0, n))
 
 
-@pytest.mark.parametrize("lo", DEFAULT_CUTOFFS)
-def test_new_points_make_up_each_whole_grid(lo):
-    seen = np.empty(0)
-    for n, new in zip(LEVEL_SIZES, level_points(lo)):
-        assert np.all(np.diff(new) > 0.0)
-        grid = np.union1d(np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n))
-        seen = np.union1d(seen, new)
-        assert np.array_equal(seen, grid)
-
-
-# (f in max mode, tol, cutoffs); min mode takes -f
+# (f in max mode, tol, cutoffs); min mode takes -f.  Where the whole grid
+# settles on a point the shared sample also holds (an end, or any point of
+# the second level on a one-cutoff ladder, whose sample is that level), the
+# two ladders agree bit for bit.
 LADDER_CASES = {
     "stops_at_first_check": (lambda t: np.exp(-t), 1e-10, DEFAULT_CUTOFFS),
-    "stops_at_a_middle_level": (lambda t: -np.abs(t - THIRD), 1e-5, (LO,)),
-    "reaches_the_cap": (lambda t: -np.abs(t - THIRD), 1e-10, (LO,)),
     "extremum_at_a_new_point": (lambda t: -((t - NEW_AT_SECOND) ** 2), 1e-10, (1e-2,)),
     "nan_at_a_new_point": (lambda t: np.where(t == NEW_AT_SECOND, np.nan, t), 1e-10, (1e-2,)),
     "nan_from_the_start": (lambda t: np.log(t - 0.5), 1e-10, DEFAULT_CUTOFFS),
@@ -335,33 +299,167 @@ def test_nested_ladder_matches_whole_grid_reference(name, mode):
     assert json.dumps(got) == json.dumps(want)
 
 
-def test_ladder_cases_stop_where_they_are_named_for():
-    with np.errstate(invalid="ignore"):
-        stops = {name: levels_evaluated(f, cutoffs[0], tol, "max")
-                 for name, (f, tol, cutoffs) in LADDER_CASES.items()}
-    assert stops["stops_at_first_check"] == 2
-    assert 2 < stops["stops_at_a_middle_level"] < len(LEVEL_SIZES)
-    assert stops["reaches_the_cap"] == len(LEVEL_SIZES)
-    assert stops["nan_at_a_new_point"] == len(LEVEL_SIZES)
-    assert stops["extremum_at_a_new_point"] == 3
-    res = endpoint_supremum(LADDER_CASES["extremum_at_a_new_point"][0], cutoffs=(1e-2,))
-    assert res.value == 0.0  # attained only at NEW_AT_SECOND
-    res = endpoint_supremum(LADDER_CASES["nan_at_a_new_point"][0], cutoffs=(1e-2,))
-    assert math.isnan(res.value)
+def recorded(f):
+    """f, and a dict that collects every point f is called on with its value,
+    and the list of its calls' sizes."""
+    seen, sizes = {}, []
+
+    def g(t):
+        y = np.asarray(f(t), dtype=float)
+        seen.update(zip(t.tolist(), np.broadcast_to(y, t.shape).tolist()))
+        sizes.append(t.size)
+        return y
+
+    return g, seen, sizes
 
 
-def test_opening_levels_are_cached_read_only():
-    both, n = quadrature._opening_points(1e-3)
-    assert quadrature._opening_points(1e-3)[0] is both
-    assert not both.flags.writeable
+def _example_integrands():
+    for k in EXAMPLE_IDS:
+        cfg = config_from_dict(example_config(k))
+        _, power, factors = weight_bundle(cfg.weights, cfg.transform, cfg.kernel)
+        for i, f in enumerate(factors):
+            yield f"example-{k}/factor-{i + 1}", f
+        yield f"example-{k}/hhat", (lambda t, p=cfg.kernel, a=power: kernel_diag(p, t) * t**a)
+
+
+MONOTONE = {"t^-2": lambda t: t**-2.0, **dict(_example_integrands())}
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE))
+def test_monotone_integrands_keep_the_sampled_end_value(name):
+    # the zoom never moves an extremum that sits at a cutoff or at 1
+    for ladder, pick in ((endpoint_supremum, max), (endpoint_infimum, min)):
+        g, seen, _ = recorded(MONOTONE[name])
+        res = ladder(g, tol=1e-9)
+        for eps, value in res.cutoff_trace:
+            assert value == pick(seen[eps], seen[1.0])
+    sample = quadrature._sample(DEFAULT_CUTOFFS)[0]
+    values = np.asarray(MONOTONE[name](sample))
+    assert np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)
+
+
+RESOLVED_PEAKS = {  # (f, its maximum) for a peak at c; a bump's width is w * c
+    "square": lambda c, a, w: (lambda t: -((t - c) * (t - c)), 0.0),
+    "cusp": lambda c, a, w: (lambda t: -np.abs(t - c), 0.0),
+    "bump": lambda c, a, w: (lambda t: a * np.exp(-(((t - c) / (w * c)) ** 2)), a),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RESOLVED_PEAKS)),
+    st.floats(-8.0, 0.0),
+    st.floats(0.1, 10.0),
+    st.floats(0.05, 0.3),
+)
+def test_ladder_lands_on_a_resolved_extremum(kind, log_c, a, w):
+    # a peak anywhere in [1e-8, 1]: within 1e-10 of it on the rungs that
+    # hold it, never past it, and on the rungs above it the cutoff's value
+    c = 10.0**log_c
+    f, peak = RESOLVED_PEAKS[kind](c, a, w)
+    g, seen, _ = recorded(f)
+    sup = endpoint_supremum(g)
+    inf = endpoint_infimum(lambda t: -f(t))
+    for (eps, high), (_, low) in zip(sup.cutoff_trace, inf.cutoff_trace):
+        assert low == -high
+        if c < eps:
+            assert high == seen[eps]
+        else:
+            assert peak - 1e-10 * max(1.0, abs(peak)) <= high <= peak
+
+
+# Robin kernels whose diagonal has its maximum inside (0, 1), at t ~ 0.73,
+# 0.16, 0.67, 0.16, 0.90 and 0.55
+INTERIOR_DIAGONAL_MAXIMA = [
+    (3.0, 1.0, 4.0, 3.0, 0.5),
+    (1.23, 0.97, 3.14, 0.41, 0.3),
+    (3.42, 1.64, 4.4, 3.38, 0.57),
+    (4.26, 4.74, 4.54, 2.93, 0.61),
+    (3.28, 2.93, 2.01, 2.17, 0.87),
+    (3.81, 0.32, 1.99, 0.35, 0.54),
+]
+
+
+@pytest.mark.parametrize("params", INTERIOR_DIAGONAL_MAXIMA)
+def test_interior_diagonal_supremum_matches_a_refined_grid(params):
+    p = KernelParams(*params, N=3)
+    t = np.linspace(0.0, 1.0, 100_001)
+    i = int(np.argmax(kernel_diag(p, t)))
+    assert 0 < i < t.size - 1
+    want = float(np.max(kernel_diag(p, np.linspace(t[i - 1], t[i + 1], 20_001))))
+    res = endpoint_supremum(lambda s: kernel_diag(p, s))
+    assert res.status == CONVERGED
+    for _, value in res.cutoff_trace:
+        assert abs(value - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("cutoffs", [DEFAULT_CUTOFFS, (0.5,), (0.3, 1e-3, 2e-7)])
+def test_sample_is_cached_read_only_and_fine_on_every_rung(cutoffs):
+    grid, starts, ends, calls = quadrature._sample(tuple(cutoffs))
+    assert quadrature._sample(tuple(cutoffs))[0] is grid
+    assert np.all(np.diff(grid) > 0.0) and grid[-1] == 1.0
+    assert not grid.flags.writeable and not any(c.flags.writeable for c in calls)
     with pytest.raises(ValueError):
-        both[0] = 0.0
-    # the first level's new points ahead of the second's
-    for size, grid in zip(LEVEL_SIZES, (both[:n], both[n:])):
-        assert np.array_equal(grid, quadrature._new_points(1e-3, size))
+        grid[0] = 0.0
+    assert grid[list(starts)].tolist() == list(cutoffs) and starts[-1] == 0
+    # linear and log steps no coarser than the whole grid's second level
+    for eps in cutoffs:
+        part = grid[grid >= eps]
+        assert np.diff(part).max() <= (1.0 - eps) / 4096 * (1.0 + 1e-9)
+        assert np.diff(np.log(part)).max() <= math.log(1.0 / eps) / 4096 * (1.0 + 1e-9)
+    # the calls hold each rung's own part in rung order, ascending within
+    parts = [grid[lo:hi] for lo, hi in zip(starts, ends)]
+    assert np.array_equal(np.concatenate(calls), np.concatenate(parts))
+    assert all(c.size <= 8192 for c in calls)
     f = lambda t: np.cos(7.0 * t) / t
-    assert endpoint_supremum(f).to_dict() == endpoint_supremum(f).to_dict()
-    assert endpoint_infimum(f).to_dict() == endpoint_infimum(f).to_dict()
+    for ladder in (endpoint_supremum, endpoint_infimum):
+        assert ladder(f, cutoffs=cutoffs).to_dict() == ladder(f, cutoffs=cutoffs).to_dict()
+
+
+def test_default_ladder_budget():
+    sample_calls = len(quadrature._sample(DEFAULT_CUTOFFS)[3])
+    # t^-2 peaks at every cutoff (seven brackets), its minimum is at 1 (one)
+    for ladder, brackets in ((endpoint_supremum, 7), (endpoint_infimum, 1)):
+        g, _, sizes = recorded(lambda t: t**-2.0)
+        ladder(g)
+        assert sum(sizes[:sample_calls]) <= 21_000
+        assert max(sizes) <= 8192
+        # two quiet rounds close a bracket, each round one call
+        assert sizes[sample_calls:] == [15 * brackets] * 2
+
+
+def test_nan_in_a_rungs_sample_or_zoom_is_its_value():
+    sample = quadrature._sample(DEFAULT_CUTOFFS)[0]
+    third = DEFAULT_CUTOFFS[3]
+    above = float(sample[np.searchsorted(sample, third) + 1])
+
+    def in_the_sample(t):  # NaN off the sample: in every zoom
+        return np.where(np.isin(t, sample), t, np.nan)
+
+    def on_the_fourth_cutoff(t):  # NaN sampled on the fourth rung
+        return np.where(t == third, np.nan, 1.0 / t)
+
+    def beside_the_fourth_cutoff(t):  # NaN only in the fourth rung's zoom
+        return np.where((third < t) & (t < above), np.nan, 1.0 / t)
+
+    for ladder in (endpoint_supremum, endpoint_infimum):
+        res = ladder(in_the_sample)
+        assert all(math.isnan(v) for _, v in res.cutoff_trace)
+        assert res.status == CUTOFF_LIMITED
+    for f in (on_the_fourth_cutoff, beside_the_fourth_cutoff):
+        levels = [v for _, v in endpoint_supremum(f).cutoff_trace]
+        assert levels[:3] == [1.0 / e for e in DEFAULT_CUTOFFS[:3]]
+        assert all(math.isnan(v) for v in levels[3:])
+
+
+@pytest.mark.parametrize("ladder", [endpoint_supremum, endpoint_infimum])
+def test_one_cutoff_nan_extremum_is_not_converged(ladder):
+    with np.errstate(invalid="ignore"):
+        res = ladder(lambda t: np.log(t - 0.5), cutoffs=(1e-2,))
+        integral = integrate(lambda t: np.log(t - 0.5), cutoffs=(1e-2,))
+    assert math.isnan(res.value)
+    assert res.status == integral.status == CUTOFF_LIMITED
+    assert quadrature._classify_levels([0.5], [1.0], 1e-10, "max").status == CONVERGED
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@
 #   check --which krasnoselskii on example 1 with windows a1 = 2 and a2 = 30
 #   and g = ["u^1.5*exp(-u)"], whose interior maximum at u = 1.5 the window
 #   polish reaches through a fractional power on the scalar route
+#   constants on example 1 with kernel alpha = 3, beta = 1, gamma = 4,
+#   delta = 3, r0 = 0.5 and the synthetic weight 1, whose kernel diagonal
+#   has its supremum inside (0, 1], at t ~ 0.726, between two samples of
+#   the extremum ladder
 set -euo pipefail
 
 base=${1:?usage: tools/compare_reports.sh BASE}
@@ -102,6 +106,11 @@ with open(f"{sys.argv[1]}/plateau-edge-g.json", "w", encoding="utf-8") as f:
 doc["system"] = {"n": 1, "g": ["u^1.5*exp(-u)"]}
 with open(f"{sys.argv[1]}/power-peak-g.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
+doc = example_config(1)
+doc["kernel"].update(alpha=3, beta=1, gamma=4, delta=3, r0=0.5)
+doc["weights"] = {"synthetic": "1"}
+with open(f"{sys.argv[1]}/interior-sup.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
 PY
 
 commands() {
@@ -129,6 +138,7 @@ commands() {
     echo "check --config $configs/peaks-g.json --which krasnoselskii"
     echo "check --config $configs/plateau-edge-g.json --which krasnoselskii"
     echo "check --config $configs/power-peak-g.json --which krasnoselskii"
+    echo "constants --config $configs/interior-sup.json"
 }
 
 # every command's stdout, exit code and stderr under one source tree
